@@ -21,12 +21,22 @@ file gates the economics of the common append case:
 * ``delta_speedup_ok`` -- the warm delta is at least
   ``MIN_DELTA_SPEEDUP`` (3x) faster than that cold run.
 
+The same delta is then applied with the indexed publication store on
+(``pubstore_dir``), through a second pipeline over a copy of the warm
+shard store (so its window cache starts cold).  Its timings and work
+counters land under ``warm_pubstore`` -- ``pubstore_clusters_rewritten``
+counts the top-level clusters the store update rewrote -- and
+``store_matches_rebuild`` gates that the updated store answers exactly
+like one built from scratch for the same publication.
+
 Timings land in ``BENCH_incremental.json`` for the CI perf gate.
 """
 
 from __future__ import annotations
 
 import json
+import random
+import shutil
 import time
 
 import pytest
@@ -34,6 +44,7 @@ import pytest
 from repro.core.engine import AnonymizationParams
 from repro.core.verification import audit
 from repro.datasets.quest import generate_quest
+from repro.pubstore import PublicationStore, QueryEngine
 from repro.stream import IncrementalPipeline, ShardedPipeline, StreamParams
 
 from benchmarks.conftest import emit, run_once, write_bench_json
@@ -76,12 +87,67 @@ def _delta_dataset():
     )
 
 
-def _stream(store_dir=None) -> StreamParams:
+def _stream(store_dir=None, pubstore_dir=None) -> StreamParams:
     return StreamParams(
         shards=SHARDS,
         max_records_in_memory=MAX_RECORDS_IN_MEMORY,
         store_dir=store_dir,
+        pubstore_dir=pubstore_dir,
     )
+
+
+def _store_answers(store: PublicationStore, published) -> dict:
+    """A seeded battery of store answers plus the faithful reload."""
+    engine = QueryEngine(store)
+    terms = [term for term, _ in engine.top_terms(200)]
+    rng = random.Random(0)
+    probes = [rng.sample(terms, rng.choice((1, 2, 3))) for _ in range(60)]
+    return {
+        "describe": {k: v for k, v in store.describe().items() if k != "path"},
+        "top_terms": engine.top_terms(10**6),
+        "frequent_pairs": engine.frequent_pairs(2),
+        "supports": [engine.cooccurrence_count(probe) for probe in probes],
+        "expected": [engine.expected_support(probe) for probe in probes],
+        "reload_identical": store.load_publication().to_dict() == published.to_dict(),
+    }
+
+
+def _bench_pubstore_delta(warm_store, delta, published, tmp_path) -> tuple:
+    """The same warm delta with the publication store on, checked vs a rebuild.
+
+    Returns the ``warm_pubstore`` payload and ``store_matches_rebuild``.
+    """
+    pipeline = IncrementalPipeline(
+        PARAMS, _stream(warm_store, pubstore_dir=tmp_path / "pub")
+    )
+    # The no-op run finds the pubstore missing and builds it in full.
+    start = time.perf_counter()
+    pipeline.run()
+    build_seconds = time.perf_counter() - start
+
+    start = time.perf_counter()
+    updated = pipeline.run(append=delta)
+    delta_seconds = time.perf_counter() - start
+    report = pipeline.last_report
+
+    with PublicationStore(tmp_path / "pub") as store:
+        with PublicationStore.from_publication(
+            updated,
+            tmp_path / "pub-rebuilt",
+            generation=store.generation,
+            source=store.source,
+        ) as rebuilt:
+            ours = _store_answers(store, updated)
+            theirs = _store_answers(rebuilt, updated)
+    matches = ours == theirs and ours["reload_identical"]
+    return {
+        "build_seconds": build_seconds,
+        "delta_seconds": delta_seconds,
+        "phases": report.phase_timings(),
+        "counters": report.counters(),
+        "published_top_level_clusters": len(updated.clusters),
+        "outputs_identical": updated.to_dict() == published.to_dict(),
+    }, matches
 
 
 def _bench_incremental(base, delta, tmp_path) -> dict:
@@ -90,6 +156,7 @@ def _bench_incremental(base, delta, tmp_path) -> dict:
     start = time.perf_counter()
     pipeline.run(append=base)
     build_seconds = time.perf_counter() - start
+    shutil.copytree(tmp_path / "store", tmp_path / "store-pubstore")
 
     # -- warm 1% delta ---------------------------------------------------
     start = time.perf_counter()
@@ -107,6 +174,10 @@ def _bench_incremental(base, delta, tmp_path) -> dict:
     )
     assert audit(warm, k=PARAMS.k, m=PARAMS.m).ok
     speedup = cold_seconds / warm_seconds
+
+    warm_pubstore, store_matches_rebuild = _bench_pubstore_delta(
+        tmp_path / "store-pubstore", delta, warm, tmp_path
+    )
 
     return {
         "workload": {
@@ -127,6 +198,8 @@ def _bench_incremental(base, delta, tmp_path) -> dict:
         "audit_ok": True,  # asserted above
         "warm_phases": report.phase_timings(),
         "counters": report.counters(),
+        "warm_pubstore": warm_pubstore,
+        "store_matches_rebuild": store_matches_rebuild,
     }
 
 
@@ -137,6 +210,8 @@ def test_bench_warm_delta_vs_cold_recompute(benchmark, tmp_path):
     delta = list(_delta_dataset())
     payload = run_once(benchmark, _bench_incremental, base, delta, tmp_path)
     assert payload["outputs_identical"]
+    assert payload["warm_pubstore"]["outputs_identical"]
+    assert payload["store_matches_rebuild"]
     assert payload["delta_speedup_ok"], (
         f"warm delta is only {payload['delta_speedup_factor']:.2f}x faster "
         f"than the cold recompute, budget is {MIN_DELTA_SPEEDUP}x"
@@ -157,6 +232,10 @@ def test_bench_warm_delta_vs_cold_recompute(benchmark, tmp_path):
             {
                 "configuration": "cold full recompute",
                 "seconds": round(payload["cold_full_run_seconds"], 3),
+            },
+            {
+                "configuration": "warm 1% append delta, pubstore on",
+                "seconds": round(payload["warm_pubstore"]["delta_seconds"], 3),
             },
         ],
         "not a paper figure: economics of the incremental store "

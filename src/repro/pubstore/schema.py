@@ -13,9 +13,14 @@ in :mod:`repro.analysis` answer without scanning the publication:
 ``terms``
     Interned term strings; every other table refers to terms by id.
 ``clusters``
-    The cluster tree (simple and joint), pre-order ids, with each row
-    carrying its top-level ancestor (``top``) so per-cluster work never
-    walks the tree at query time.
+    The cluster tree (simple and joint), with each row carrying its
+    top-level ancestor (``top``) so per-cluster work never walks the
+    tree at query time.  Ids are pre-order *within* a top-level cluster
+    (a child's id exceeds its parent's); across top-level clusters they
+    carry no order, because an update re-inserts only the changed ones.
+    A top-level row's ``ord`` is its position in the publication and its
+    ``digest`` is the content digest of that cluster's canonical JSON
+    (``NULL`` on every other row), which is what an update diffs on.
 ``chunks``
     Record and shared chunks with two orderings: ``ord`` (position in
     the owning cluster, used to reload the publication faithfully) and
@@ -48,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Optional, Union
 
 #: File name of the publication store inside its directory.
 PUBSTORE_NAME = "publication.sqlite"
@@ -58,7 +63,7 @@ PUBSTORE_LOCK_NAME = "publication.lock"
 
 #: Bumped whenever the schema below changes shape; a store written by a
 #: different version is refused rather than silently misread.
-PUBSTORE_VERSION = 1
+PUBSTORE_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -78,7 +83,8 @@ CREATE TABLE IF NOT EXISTS clusters (
     ord    INTEGER NOT NULL,
     kind   TEXT NOT NULL,
     label  TEXT NOT NULL,
-    size   INTEGER NOT NULL
+    size   INTEGER NOT NULL,
+    digest TEXT
 );
 CREATE INDEX IF NOT EXISTS idx_clusters_parent ON clusters (parent, ord);
 
@@ -156,9 +162,15 @@ CREATE TABLE IF NOT EXISTS contributions (
 ) WITHOUT ROWID;
 """
 
-#: Every data table the writer clears before a rebuild (``meta`` is
-#: restamped, not cleared, so version/fingerprint survive a rebuild of
-#: the same publication).
+#: The statements of :data:`_SCHEMA`, one by one: a store cleared inside
+#: a build transaction recreates its tables with these (``executescript``
+#: would commit the open transaction first).
+SCHEMA_STATEMENTS = tuple(
+    statement.strip() for statement in _SCHEMA.split(";") if statement.strip()
+)
+
+#: Every data table a build drops and recreates when it cannot reuse the
+#: stored snapshot (``meta`` is restamped, not cleared).
 DATA_TABLES = (
     "terms",
     "clusters",
@@ -179,12 +191,37 @@ def pubstore_path(store_dir: Union[str, Path]) -> Path:
     return Path(store_dir) / PUBSTORE_NAME
 
 
-def publication_fingerprint(payload: Dict[str, Any]) -> str:
+def _digest(value: Any) -> str:
+    """Digest of ``value``'s canonical JSON (sorted keys, compact separators)."""
+    # The payloads are plain JSON data (no cycles): skipping the
+    # encoder's circular-reference bookkeeping halves its cost.
+    canonical = json.dumps(
+        value, sort_keys=True, separators=(",", ":"), check_circular=False
+    )
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def top_digests(payload: Dict[str, Any]) -> List[str]:
+    """Content digest of every top-level cluster of a ``to_dict`` payload.
+
+    A digest covers the cluster's whole subtree (labels, sizes, chunks,
+    sub-record order, contribution order), so two top-level clusters
+    with equal digests decompose into the same rows up to their ids.
+    """
+    return [_digest(cluster) for cluster in payload["clusters"]]
+
+
+def publication_fingerprint(
+    payload: Dict[str, Any], digests: Optional[List[str]] = None
+) -> str:
     """Fingerprint a publication's serialized form (``to_dict`` payload).
 
-    The digest is taken over the canonical JSON encoding (sorted keys,
-    compact separators) so logically identical publications fingerprint
-    identically regardless of how the payload dict was assembled.
+    The fingerprint is the digest of ``k``, ``m`` and the ordered
+    per-top-level-cluster digests (:func:`top_digests`; pass them as
+    ``digests`` when already computed), so logically identical
+    publications fingerprint identically regardless of how the payload
+    dict was assembled, and the publication is encoded only once.
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+    if digests is None:
+        digests = top_digests(payload)
+    return _digest({"k": payload["k"], "m": payload["m"], "clusters": digests})

@@ -17,13 +17,17 @@ identity -- holding one disassociated publication in fully indexed form
   anything the indexes cannot answer falls back to the in-memory path
   with bit-for-bit identical results.
 
-Durability mirrors the shard store: a (re)build is **one** atomic
-transaction -- old rows out, new rows in, meta restamped, commit -- so a
-crash mid-build rolls back to the previous consistent snapshot and the
-next build simply runs again.  The ``generation`` meta slot is stamped
-by the builder (:class:`~repro.stream.IncrementalPipeline` passes the
-shard store's generation), which is what keeps a pubstore from ever
-being ahead of or behind the publication it indexes.  Faults and
+Writes are per top-level cluster: :meth:`PublicationStore.build` diffs
+the incoming publication against the stored one by per-cluster content
+digest and rewrites only the clusters that changed (see
+:mod:`repro.pubstore.writer`).  Durability mirrors the shard store: a
+build is **one** atomic transaction -- changed rows out, new rows in,
+meta restamped, commit -- so a crash mid-build rolls back to the
+previous consistent snapshot and the next build simply runs again.
+The ``generation`` meta slot is stamped by the builder
+(:class:`~repro.stream.IncrementalPipeline` passes the shard store's
+generation), which is what keeps a pubstore from ever being ahead of or
+behind the publication it indexes.  Faults and
 deadlines are honored at the ``pubstore.open`` / ``pubstore.build`` /
 ``pubstore.query`` phase boundaries, so the resilience harness drives
 this store like every other subsystem.
@@ -54,11 +58,13 @@ from repro.pubstore.schema import (
     DATA_TABLES,
     PUBSTORE_LOCK_NAME,
     PUBSTORE_VERSION,
+    SCHEMA_STATEMENTS,
     _SCHEMA,
     publication_fingerprint,
     pubstore_path,
+    top_digests,
 )
-from repro.pubstore.writer import build_rows, insert_rows
+from repro.pubstore.writer import update_rows
 
 PathLike = Union[str, Path]
 
@@ -76,14 +82,15 @@ class PublicationStore:
     """One publication, persisted and indexed, in a single SQLite file.
 
     Open is cheap (schema is idempotent); writes go through
-    :meth:`build`, which replaces the whole snapshot atomically.  All
+    :meth:`build`, which brings the snapshot in step with a publication
+    atomically, rewriting only the top-level clusters that changed.  All
     methods raise :class:`~repro.exceptions.StoreError` on an unusable
     or foreign database.  Use as a context manager (or call
     :meth:`close`).
 
     ``exclusive=True`` acquires an advisory writer lock (a write
     transaction on the sibling ``publication.lock`` file) held until
-    :meth:`close`, serializing rebuilds across threads and processes;
+    :meth:`close`, serializing builds across threads and processes;
     read-only query opens stay lock-free.
     """
 
@@ -142,7 +149,7 @@ class PublicationStore:
                     if time.monotonic() >= give_up:
                         raise StoreError(
                             f"another writer holds the lock on publication store "
-                            f"{self.path} (waited {timeout:.1f}s); rebuilds "
+                            f"{self.path} (waited {timeout:.1f}s); builds "
                             "serialize per store"
                         ) from None
         except sqlite3.Error as exc:
@@ -201,6 +208,12 @@ class PublicationStore:
         return self._meta("built") == "1"
 
     @property
+    def version(self) -> int:
+        """Schema version the stored snapshot was written with (0 if unbuilt)."""
+        value = self._meta("version")
+        return 0 if value is None else int(value)
+
+    @property
     def generation(self) -> int:
         """The generation stamp the current snapshot was built from."""
         value = self._meta("generation")
@@ -208,7 +221,10 @@ class PublicationStore:
 
     @property
     def fingerprint(self) -> Optional[str]:
-        """Content fingerprint of the stored publication's canonical JSON."""
+        """Content fingerprint of the stored publication.
+
+        See :func:`~repro.pubstore.schema.publication_fingerprint`.
+        """
         return self._meta("fingerprint")
 
     @property
@@ -263,7 +279,7 @@ class PublicationStore:
         self._require_built()
         return {
             "path": str(self.path),
-            "version": int(self._meta("version") or 0),
+            "version": self.version,
             "generation": self.generation,
             "fingerprint": self.fingerprint,
             "k": self.k,
@@ -303,45 +319,91 @@ class PublicationStore:
         generation: int = 0,
         payload: Optional[dict] = None,
         source: Optional[dict] = None,
-    ) -> None:
-        """(Re)index ``published`` into the store as one atomic snapshot.
+    ) -> int:
+        """Index ``published`` into the store as one atomic snapshot.
 
-        The whole build -- clearing the previous snapshot, inserting
-        every row, restamping the meta header -- commits as a single
-        transaction: a crash at any instant leaves the *previous*
-        committed snapshot (or an unbuilt store) behind, never a half
-        index.  ``payload`` may pass a precomputed ``to_dict()`` form to
-        avoid serializing the publication twice; ``generation`` and
-        ``source`` stamp which upstream state the snapshot reflects.
+        The store is updated one top-level cluster at a time: each one's
+        content digest (:func:`~repro.pubstore.schema.top_digests`) is
+        compared with the digests stored on the top-level ``clusters``
+        rows, the rows of stored clusters that left the publication are
+        deleted and their contributions subtracted from the aggregates,
+        only the new clusters are walked and inserted, and every kept
+        cluster gets its new position.  A store with nothing to reuse --
+        unbuilt, or written by another schema version -- is cleared and
+        every cluster is new, so the first build and every delta take the
+        same path; the result always answers exactly like a build into an
+        empty directory.
+
+        The whole update -- deletes, inserts, meta restamp -- commits as
+        a single transaction: a crash or an expired deadline at any
+        instant leaves the *previous* committed snapshot (or an unbuilt
+        store) behind, never a half index.  ``payload`` may pass a
+        precomputed ``to_dict()`` form to avoid serializing the
+        publication twice; ``generation`` and ``source`` stamp which
+        upstream state the snapshot reflects.
+
+        Returns the number of top-level clusters written (0 when the
+        publication is unchanged).
         """
         faults.check("pubstore.build")
         deadline.check("pubstore.build")
-        if payload is None:
-            payload = published.to_dict()
-        fingerprint = publication_fingerprint(payload)
+        # Digesting and updating allocate containers in bulk, none of them
+        # cyclic: collections they would trigger only rescan the caller's
+        # heap (on a large service process, most of a warm update's time).
         with paused_gc():
-            builder = build_rows(published)
-        deadline.check("pubstore.build")
-        self._db.execute("BEGIN IMMEDIATE")
-        try:
-            for table in DATA_TABLES:
-                self._db.execute(f"DELETE FROM {table}")
-            derived = insert_rows(self._db, builder, published)
-            self._set_meta("version", str(PUBSTORE_VERSION))
-            self._set_meta("fingerprint", fingerprint)
-            self._set_meta("generation", str(int(generation)))
-            self._set_meta("source", json.dumps(source, sort_keys=True))
-            for key, value in derived.items():
-                self._set_meta(key, value)
-            self._set_meta("built", "1")
-            # A second injection point *inside* the transaction: the
-            # crash-during-index-build test arms it to prove a mid-build
-            # death rolls back to the previous consistent snapshot.
-            faults.check("pubstore.build")
-            self._db.execute("COMMIT")
-        except BaseException:
-            self._db.execute("ROLLBACK")
-            raise
+            if payload is None:
+                payload = published.to_dict()
+            digests = top_digests(payload)
+            fingerprint = publication_fingerprint(payload, digests)
+            self._db.execute("BEGIN IMMEDIATE")
+            try:
+                stored = []
+                if self.initialized and self.version == PUBSTORE_VERSION:
+                    stored = self._db.execute(
+                        "SELECT id, digest, ord FROM clusters WHERE parent IS NULL"
+                    ).fetchall()
+                if not {digest for _, digest, _ in stored} & set(digests):
+                    # Nothing to reuse: start from empty tables.
+                    self._clear()
+                    stored = []
+                rewritten = update_rows(self._db, published, digests, stored)
+                deadline.check("pubstore.build")
+                total_subrecords = self._count("subrecords")
+                self._set_meta("version", str(PUBSTORE_VERSION))
+                self._set_meta("fingerprint", fingerprint)
+                self._set_meta("generation", str(int(generation)))
+                self._set_meta("source", json.dumps(source, sort_keys=True))
+                self._set_meta("k", str(published.k))
+                self._set_meta("m", str(published.m))
+                self._set_meta("total_records", str(published.total_records()))
+                self._set_meta("total_subrecords", str(total_subrecords))
+                self._set_meta(
+                    "chunk_rows", str(total_subrecords + self._count("term_chunks"))
+                )
+                self._set_meta("built", "1")
+                # A second injection point *inside* the transaction: the
+                # crash-during-index-build test arms it to prove a mid-build
+                # death rolls back to the previous consistent snapshot.
+                faults.check("pubstore.build")
+                self._db.execute("COMMIT")
+            except BaseException:
+                self._db.execute("ROLLBACK")
+                raise
+        return rewritten
+
+    def _clear(self) -> None:
+        """Drop and recreate every data table (inside the open transaction).
+
+        Recreating rather than deleting also reshapes tables written by
+        an older schema version.
+        """
+        for table in DATA_TABLES:
+            self._db.execute(f"DROP TABLE IF EXISTS {table}")
+        for statement in SCHEMA_STATEMENTS:
+            self._db.execute(statement)
+
+    def _count(self, table: str) -> int:
+        return int(self._db.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0])
 
     # -- validation ------------------------------------------------------ #
     def _require_built(self) -> None:
@@ -474,15 +536,17 @@ class PublicationStore:
     def candidate_tops(self, term_ids: Iterable[int], size: int) -> List[int]:
         """Top-level clusters whose full domain covers all ``size`` terms.
 
-        Ordered ascending by cluster id -- the pre-order walk ids make
-        that exactly the publication's top-level cluster order, so the
-        store-backed estimator sums per-cluster contributions in the
-        same order as the in-memory oracle.
+        Ordered by the clusters' stored positions -- the publication's
+        top-level order -- so the store-backed estimator sums
+        per-cluster contributions in the same order as the in-memory
+        oracle.  (Ids carry no order across top-level clusters: an
+        update re-inserts only the changed ones.)
         """
         wanted = sorted(set(term_ids))
         rows = self._db.execute(
-            f"SELECT top FROM cluster_terms WHERE term IN ({_marks(wanted)})"
-            " GROUP BY top HAVING COUNT(*) = ? ORDER BY top",
+            "SELECT ct.top FROM cluster_terms ct JOIN clusters c ON c.id = ct.top"
+            f" WHERE ct.term IN ({_marks(wanted)})"
+            " GROUP BY ct.top HAVING COUNT(*) = ? ORDER BY c.ord",
             (*wanted, size),
         ).fetchall()
         return [top for (top,) in rows]
@@ -604,8 +668,10 @@ class PublicationStore:
             ).fetchall()
             children_of: Dict[Optional[int], List[Tuple[int, int]]] = defaultdict(list)
             built_clusters: Dict[int, Union[SimpleCluster, JointCluster]] = {}
-            # Pre-order ids guarantee every child id exceeds its parent's,
-            # so a reverse walk always finds children already built.
+            # Ids are pre-order within each top-level cluster, so every
+            # child id exceeds its parent's and a reverse walk always
+            # finds children already built; top-level clusters come back
+            # in their stored positions (``ord``).
             for cid, parent, ord_, kind, label, size in reversed(cluster_rows):
                 if kind == "joint":
                     children = [

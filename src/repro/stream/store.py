@@ -680,6 +680,7 @@ class IncrementalReport:
     verify_seconds: float = 0.0
     pubstore_seconds: float = 0.0
     pubstore_refreshed: bool = False
+    pubstore_clusters_rewritten: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -716,6 +717,7 @@ class IncrementalReport:
             "deleted": self.deleted,
             "windows_reused": self.windows_reused,
             "windows_recomputed": self.windows_recomputed,
+            "pubstore_clusters_rewritten": self.pubstore_clusters_rewritten,
         }
 
     def summary(self) -> str:
@@ -727,14 +729,19 @@ class IncrementalReport:
                 f"({self.num_clusters} clusters) in {self.total_seconds:.2f}s"
             )
         kind = "initialized" if self.initialized else "delta"
+        pubstore = (
+            f"{self.pubstore_clusters_rewritten} pubstore cluster(s) rewritten, "
+            if self.pubstore_refreshed
+            else ""
+        )
         return (
             f"incremental run ({kind}): {self.num_records} records over "
             f"{self.num_shards} shard(s) ({self.strategy}), "
             f"+{self.appended}/-{self.deleted} record(s), "
             f"{self.windows_recomputed} window(s) recomputed / "
             f"{self.windows_reused} reused, {self.num_clusters} clusters, "
-            f"{self.repair.total_demoted()} boundary demotion(s) "
-            f"in {self.total_seconds:.2f}s"
+            f"{self.repair.total_demoted()} boundary demotion(s), "
+            f"{pubstore}in {self.total_seconds:.2f}s"
         )
 
 
@@ -963,26 +970,29 @@ class IncrementalPipeline:
 
         No-op unless ``stream.pubstore_dir`` is configured.  The pubstore
         snapshot is stamped with the shard store's generation and this
-        run's parameter fingerprint; a snapshot that already carries both
-        is current and is left untouched (the common no-op delta), while
-        any mismatch -- a fresh delta, a crash between the publication
-        commit and the previous refresh, or a directory that belonged to
-        a different run -- triggers one atomic rebuild.  The shard
-        store's advisory lock is still held here, so refreshes serialize
-        with the runs that produce them.
+        run's parameter fingerprint; a snapshot that already carries both,
+        in this library's schema version, is current and is left
+        untouched (the common no-op delta), while any mismatch -- a fresh
+        delta, a crash between the publication commit and the previous
+        refresh, a directory that belonged to a different run, or a
+        snapshot written by another schema version -- triggers one atomic
+        build, which rewrites only the top-level clusters that changed.
+        The shard store's advisory lock is still held here, so refreshes
+        serialize with the runs that produce them.
         """
         if self.stream.pubstore_dir is None:
             return
-        from repro.pubstore import PublicationStore
+        from repro.pubstore import PUBSTORE_VERSION, PublicationStore
 
         start = time.perf_counter()
         with PublicationStore(self.stream.pubstore_dir, exclusive=True) as pub:
             if not (
                 pub.initialized
+                and pub.version == PUBSTORE_VERSION
                 and pub.generation == generation
                 and pub.source == fingerprint
             ):
-                pub.build(
+                report.pubstore_clusters_rewritten = pub.build(
                     published,
                     generation=generation,
                     payload=payload,

@@ -528,6 +528,55 @@ class TestDeltaRefresh:
         with PublicationStore(tmp_path / "pub") as pub:
             assert pub.load_publication().to_dict() == published.to_dict()
 
+    def test_store_of_another_schema_version_is_refreshed(self, tmp_path):
+        pipeline = self._pipeline(tmp_path)
+        published = pipeline.run(append=self.RECORDS[:80])
+        # Turn the snapshot into what the previous schema version wrote at
+        # the current generation: no digest column, version 1.
+        db = sqlite3.connect(tmp_path / "pub" / "publication.sqlite")
+        db.execute("ALTER TABLE clusters DROP COLUMN digest")
+        db.execute("UPDATE meta SET value = '1' WHERE key = 'version'")
+        db.commit()
+        db.close()
+        with PublicationStore(tmp_path / "pub") as pub:
+            with pytest.raises(StoreError, match="version"):
+                QueryEngine(pub)
+        pipeline.run()  # the no-op run must not take the old store as current
+        report = pipeline.last_report
+        assert report.pubstore_refreshed
+        assert report.pubstore_clusters_rewritten == len(published.clusters)
+        with PublicationStore(tmp_path / "pub") as pub:
+            assert pub.version == PUBSTORE_VERSION
+            assert pub.load_publication().to_dict() == published.to_dict()
+            assert QueryEngine(pub).top_terms(5) == queries.top_terms(
+                published.chunk_dataset(), 5
+            )
+
+    def test_small_append_rewrites_only_the_changed_clusters(self, tmp_path):
+        records = list(
+            make_workload("quest", records=420, domain=60, avg_len=5.0, seed=8)
+        )
+        pipeline = self._pipeline(tmp_path, shards=2, max_records_in_memory=60)
+        published = pipeline.run(append=records[:400])
+        report = pipeline.last_report
+        assert report.pubstore_clusters_rewritten == len(published.clusters)
+        assert sum(report.shard_windows) > 2  # several windows per shard
+
+        published = pipeline.run(append=records[400:])
+        report = pipeline.last_report
+        assert 0 < report.pubstore_clusters_rewritten < len(published.clusters)
+        assert report.counters()["pubstore_clusters_rewritten"] == (
+            report.pubstore_clusters_rewritten
+        )
+        assert (
+            f"{report.pubstore_clusters_rewritten} pubstore cluster(s) rewritten"
+            in report.summary()
+        )
+        with PublicationStore(tmp_path / "pub") as pub:
+            assert pub.load_publication().to_dict() == published.to_dict()
+            # an unchanged publication rewrites nothing
+            assert pub.build(published, generation=pub.generation) == 0
+
     def test_pubstore_dir_is_not_part_of_the_run_identity(self, tmp_path):
         with_pubstore = StreamParams(
             shards=3,
