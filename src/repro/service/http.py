@@ -165,10 +165,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     max_body_bytes: int = MAX_BODY_BYTES
 
     protocol_version = "HTTP/1.1"
-    # _send_json writes the headers and the body in two sends; with
-    # Nagle's algorithm on, a keep-alive client's delayed ACK would hold
-    # the body back for tens of milliseconds.
-    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------- #
     def log_message(self, format: str, *args) -> None:  # noqa: A002

@@ -20,7 +20,6 @@ Covers the PR-7 concurrency surface:
 from __future__ import annotations
 
 import json
-import socket
 import threading
 import urllib.error
 import urllib.request
@@ -348,29 +347,6 @@ class TestHttpEndpoints:
         assert http(served.url, "POST", "/stats", {})[0] == 404
         status, payload = http(served.url, "GET", "/anonymize")
         assert status == 405
-
-    def test_connections_disable_nagle(self, monkeypatch):
-        # The handler writes headers and body in two sends: with Nagle on,
-        # a keep-alive client's delayed ACK stalls every response body.
-        from repro.service.http import _ServiceRequestHandler
-
-        seen = []
-        original = _ServiceRequestHandler.setup
-
-        def setup(handler):
-            original(handler)
-            seen.append(
-                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-            )
-
-        monkeypatch.setattr(_ServiceRequestHandler, "setup", setup)
-        server = ServiceHTTPServer(AnonymizationService(BASE_CONFIG), port=0)
-        server.start()
-        try:
-            assert http(server.url, "GET", "/healthz")[0] == 200
-        finally:
-            server.close(drain=False)
-        assert seen and all(seen)
 
     def test_per_request_overrides_apply(self, served):
         dataset = quest(80)
