@@ -15,13 +15,6 @@ CPython's small-int bitops):
   accepted batch over the packed uint64 matrix.
 * **row assembly** -- shared-chunk sub-record reassembly from term row
   masks: per-row bigint shifts vs one ``unpackbits``.
-* **wave check** -- all cross-cluster pair verdicts (the ``bad``
-  adjacency the wave pre-pass feeds the greedy replay), a per-pair
-  bigint loop vs one ``WaveBatch`` AND + popcount sweep, measured on
-  *both* sides of the packed crossover: the paper's default
-  small-cluster shape (where the bigints win, which is why the
-  ``packed_min_rows`` knob routes it to them) and a wide 240-row shape
-  (where the sweep amortizes).  This is the wave VERPART and REFINE ride.
 
 Alongside the micro timings, the payload records end-to-end ``to_dict``
 equivalence booleans (forced ``python`` vs ``numpy`` kernels, and
@@ -166,98 +159,6 @@ def _bench_assembly(masks: dict) -> dict:
     }
 
 
-#: Wave micro-bench shapes: both sides of the packed crossover.  The
-#: *small* shape is the paper's default regime (hundreds of ~30-row
-#: clusters), where per-pair bigint checks win -- that is exactly why
-#: ``packed_min_rows`` routes small work away from the matrix.  The
-#: *large* shape (fewer, 240-row clusters with wide candidate lists,
-#: REFINE's joint-pair regime) is where the sweep amortizes and the
-#: wave pays off.
-WAVE_SHAPES = {
-    "small": dict(clusters=200, rows=30, terms=12, density=0.35),
-    "large": dict(clusters=40, rows=240, terms=40, density=0.2),
-}
-
-
-def _wave_groups(
-    clusters: int, rows: int, terms: int, density: float
-) -> list[list[int]]:
-    rng = random.Random(2)
-    groups = []
-    for _ in range(clusters):
-        masks = []
-        for _index in range(terms):
-            mask = 0
-            for row in range(rows):
-                if rng.random() < density:
-                    mask |= 1 << row
-            if mask.bit_count() >= PARAMS["k"]:
-                masks.append(mask)
-        if masks:
-            groups.append(masks)
-    return groups
-
-
-def _bench_wave_shape(groups: list[list[int]], rows: int) -> dict:
-    """All pair verdicts: per-pair bigint loop vs one ``WaveBatch`` sweep.
-
-    Both arms produce the full ``bad`` adjacency (bit ``j`` of ``bad[i]``
-    set when the pair overlaps on fewer than ``k`` rows) for every group.
-    The wave pre-pass needs *all* pairs -- the greedy replay's acceptance
-    sequence is unknowable ahead of time -- so this, not a greedy
-    selection, is the kernel's actual job.
-    """
-    k = PARAMS["k"]
-
-    def per_pair():
-        out = {}
-        for index, masks in enumerate(groups):
-            count = len(masks)
-            bad = [0] * count
-            any_bad = False
-            for i in range(count):
-                left = masks[i]
-                for j in range(i + 1, count):
-                    overlap = (left & masks[j]).bit_count()
-                    if 0 < overlap < k:
-                        bad[i] |= 1 << j
-                        bad[j] |= 1 << i
-                        any_bad = True
-            if any_bad:
-                out[index] = bad
-        return out
-
-    def waved():
-        wave = kernels.WaveBatch(k)
-        for masks in groups:
-            wave.add_group(masks, rows)
-        return wave.bad_pair_masks()
-
-    assert per_pair() == waved()  # verdicts must not move
-    per_pair_seconds = _best(per_pair)
-    waved_seconds = _best(waved)
-    return {
-        "clusters": len(groups),
-        "rows_per_cluster": rows,
-        "per_pair_seconds": per_pair_seconds,
-        "waved_seconds": waved_seconds,
-        "speedup": per_pair_seconds / waved_seconds,
-    }
-
-
-def _bench_wave_check() -> dict:
-    """Both wave shapes: the crossover the routing knob encodes."""
-    return {
-        name: _bench_wave_shape(
-            _wave_groups(
-                shape["clusters"], shape["rows"], shape["terms"], shape["density"]
-            ),
-            shape["rows"],
-        )
-        for name, shape in WAVE_SHAPES.items()
-    }
-
-
 def _equivalence(dataset) -> tuple[dict, dict]:
     """End-to-end equality booleans + min-of-N phase timings per backend."""
     published = {}
@@ -316,7 +217,6 @@ def run_kernel_benches() -> dict:
         "horpart_counting": _bench_counting(encoded),
         "combination_check": _bench_combination_check(masks),
         "row_assembly": _bench_assembly(masks),
-        "wave_check": _bench_wave_check(),
         "equivalence": flags,
         "phases_python": phases["python"],
         "phases_numpy": phases["numpy"],
@@ -342,29 +242,9 @@ def test_kernel_benches(benchmark):
         ],
         "identical outputs on both backends; numpy engages above the packed-rows threshold.",
     )
-    emit(
-        "Cross-cluster wave check vs per-cluster bigint checkers (both crossover sides)",
-        [
-            {
-                "shape": (
-                    f"{name}: {shape['clusters']} clusters x "
-                    f"{shape['rows_per_cluster']} rows"
-                ),
-                "per_pair_ms": shape["per_pair_seconds"] * 1e3,
-                "waved_ms": shape["waved_seconds"] * 1e3,
-                "speedup": shape["speedup"],
-            }
-            for name, shape in payload["wave_check"].items()
-        ],
-        "identical greedy selections; packed_min_rows routes each shape to its winner.",
-    )
     write_bench_json("kernels", payload)
     assert payload["equivalence"]["outputs_identical_kernels"]
     assert payload["equivalence"]["outputs_identical_vocab_reuse"]
     # The kernels must earn their keep at the shapes they engage on.
     assert payload["horpart_counting"]["speedup"] >= 1.5
     assert payload["combination_check"]["speedup"] >= 1.5
-    # The wave sweep competes with CPython's (fast) small-bigint AND +
-    # bit_count, so parity-ish ratios are expected; the structural wins
-    # (memo absorption, pre-pass sentinels) show up in BENCH_refine.json
-    # counters instead.  No floor assert: the ratio straddles 1.0.

@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="per-engine worker processes for the VERPART/REFINE fan-outs",
+        help="per-engine worker processes for the VERPART fan-out",
     )
     serve.add_argument(
         "--max-pending",

@@ -109,46 +109,6 @@ def _masks_are_km_anonymous(
     return True
 
 
-def km_anonymous_batch(
-    chunks: Sequence[Sequence[frozenset]],
-    k: int,
-    m: int,
-    kernels_backend: Optional[str] = None,
-) -> list[bool]:
-    """Batch :func:`is_km_anonymous` verdicts for many chunks at once.
-
-    The wave-batched counterpart used by the published-dataset auditor:
-    at the paper's default ``m == 2`` every chunk's term masks are packed
-    into one :class:`~repro.core.kernels.WaveBatch` matrix and all
-    verdicts come out of a single AND + popcount sweep, provided the
-    numpy backend is active and the *total* rows across the batch reach
-    :func:`~repro.core.kernels.packed_min_rows`.  Otherwise each chunk is
-    checked individually.  Verdicts are identical either way (enforced by
-    the parity suite).
-    """
-    validate_km_parameters(k, m)
-    chunks = list(chunks)
-    if (
-        m == 2
-        and kernels.numpy_available()
-        and kernels.resolve(kernels_backend) == "numpy"
-        and sum(len(chunk) for chunk in chunks) >= kernels.packed_min_rows()
-    ):
-        wave = kernels.WaveBatch(k)
-        for records in chunks:
-            masks: dict = {}
-            for row, record in enumerate(records):
-                bit = 1 << row
-                for term in record:
-                    masks[term] = masks.get(term, 0) | bit
-            wave.add_group(list(masks.values()), len(records))
-        return wave.group_km_verdicts()
-    return [
-        is_km_anonymous(records, k, m, kernels_backend=kernels_backend)
-        for records in chunks
-    ]
-
-
 def find_km_violation(
     records: Sequence[frozenset], k: int, m: int
 ) -> Optional[tuple[tuple, int]]:

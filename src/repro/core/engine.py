@@ -44,6 +44,7 @@ Typical usage::
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -60,14 +61,13 @@ from repro.core.horizontal import (
     horizontal_partition,
     horizontal_partition_indices,
 )
-from repro.core.refine import RefineStats, effective_jobs, refine
+from repro.core.refine import RefineStats, refine
 from repro.core.verification import verify_km_anonymity
 from repro.core.vertical import (
     build_cluster_from_domains,
     partition_domains_fast,
     vertical_partition,
     vertical_partition_fast,
-    vertical_partition_wave,
 )
 from repro.core.vocab import (
     EncodedCluster,
@@ -80,6 +80,18 @@ from repro.exceptions import EngineClosedError, ParameterError
 
 #: Execution backends: the interned/bitset core and the string reference.
 BACKENDS = ("encoded", "string")
+
+
+def effective_jobs(requested: int) -> int:
+    """The worker-process count actually used for a requested ``jobs`` value.
+
+    Capped at ``os.cpu_count()``: oversubscribing a host with more worker
+    processes than cores is pure scheduling and IPC overhead (the committed
+    ``BENCH_speedup.json`` measured ``jobs=4`` 1.16x *slower* end to end on
+    a 1-CPU host).  When the effective value is 1 no process pool is set up
+    at all.
+    """
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -109,7 +121,7 @@ class AnonymizationParams:
             ``$REPRO_KERNELS``, then auto-select).  Both kernel backends
             produce identical published datasets; see
             :mod:`repro.core.kernels`.
-        packed_min_rows: row-count crossover for the packed/wave kernels
+        packed_min_rows: row-count crossover for the packed kernels
             (``None`` defers to ``$REPRO_PACKED_MIN_ROWS``, then the
             :data:`~repro.core.kernels.PACKED_MIN_ROWS` default); see
             :func:`repro.core.kernels.packed_min_rows`.  The threshold only
@@ -180,11 +192,8 @@ class AnonymizationReport:
     ``refine_*`` counters expose the REFINE driver's per-pass work (see
     :class:`~repro.core.refine.RefineStats`).
 
-    ``packed_min_rows`` is the resolved packed/wave-kernel crossover in
-    effect for the run; the ``verpart_wave_*`` and ``refine_*wave*``
-    counters record how much work went through the cross-cluster wave
-    kernels versus the per-cluster fallback (see
-    :class:`~repro.core.kernels.WaveBatch`).
+    ``packed_min_rows`` is the resolved packed-kernel crossover in effect
+    for the run (see :func:`repro.core.kernels.packed_min_rows`).
     """
 
     num_records: int = 0
@@ -208,10 +217,6 @@ class AnonymizationReport:
     refine_merges_skipped_memo: int = 0
     refine_pairs_prefiltered: int = 0
     packed_min_rows: int = 0
-    verpart_wave_clusters: int = 0
-    verpart_wave_fallbacks: int = 0
-    refine_pairs_waved: int = 0
-    refine_wave_fallbacks: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -246,10 +251,6 @@ class AnonymizationReport:
             "refine_merges_skipped_memo": self.refine_merges_skipped_memo,
             "refine_pairs_prefiltered": self.refine_pairs_prefiltered,
             "packed_min_rows": self.packed_min_rows,
-            "verpart_wave_clusters": self.verpart_wave_clusters,
-            "verpart_wave_fallbacks": self.verpart_wave_fallbacks,
-            "refine_pairs_waved": self.refine_pairs_waved,
-            "refine_wave_fallbacks": self.refine_wave_fallbacks,
         }
 
 
@@ -267,8 +268,10 @@ class PipelineContext:
         refined: REFINE output -- simple and/or joint clusters.
         published: the final :class:`DisassociatedDataset`.
         pool_provider: lazily returns the engine's shared worker pool (or
-            ``None``); the vertical and refine phases draw from the same
-            pool, so one ``anonymize`` call spawns processes at most once.
+            ``None``) for the vertical phase's fan-out.
+        pool_release: drops the engine's worker pool (a no-op when none
+            was spawned); the vertical phase calls it when the pool
+            breaks, so the next ``anonymize`` call spawns a fresh one.
         vocabulary: optional pre-warmed interning table the horizontal
             phase encodes onto (shared across stream windows); ``None``
             interns from scratch.
@@ -283,6 +286,7 @@ class PipelineContext:
     refined: Optional[list[Cluster]] = None
     published: Optional[DisassociatedDataset] = None
     pool_provider: Optional[Callable[[], Optional[ProcessPoolExecutor]]] = None
+    pool_release: Optional[Callable[[], None]] = None
     vocabulary: Optional[Vocabulary] = None
 
     def pool(self) -> Optional[ProcessPoolExecutor]:
@@ -290,6 +294,11 @@ class PipelineContext:
         if self.pool_provider is None:
             return None
         return self.pool_provider()
+
+    def release_pool(self) -> None:
+        """Drop the shared worker pool so the next call spawns a fresh one."""
+        if self.pool_release is not None:
+            self.pool_release()
 
     def publish(self) -> DisassociatedDataset:
         """Build (once) and return the published dataset."""
@@ -378,7 +387,9 @@ class VerticalPhase:
     Per-cluster calls are independent; with ``params.jobs > 1`` (encoded
     backend) they are fanned out over a process pool.  Cluster labels
     (``P0..Pn``) are assigned before submission and results are merged in
-    that order, so the output is identical for every ``jobs`` value.
+    that order, so the output is identical for every ``jobs`` value.  A
+    pool that breaks mid-call (a worker crashed) is released and the call
+    finishes serially; the report then says ``effective_jobs == 1``.
     """
 
     name = "vertical"
@@ -390,16 +401,17 @@ class VerticalPhase:
         ctx.report.effective_jobs = effective_jobs(params.jobs)
         if params.backend == "encoded":
             pool = ctx.pool() if len(partitions) > 1 else None
+            results = None
             if pool is not None:
                 results = _parallel_vertical(partitions, params.k, params.m, pool)
-                ctx.report.verpart_wave_fallbacks += len(partitions)
-            else:
-                wave_stats = kernels.WaveStats()
-                results = vertical_partition_wave(
-                    partitions, params.k, params.m, stats=wave_stats
-                )
-                ctx.report.verpart_wave_clusters += wave_stats.groups
-                ctx.report.verpart_wave_fallbacks += wave_stats.fallbacks
+                if results is None:
+                    ctx.release_pool()
+                    ctx.report.effective_jobs = 1
+            if results is None:
+                results = [
+                    vertical_partition_fast(part, params.k, params.m, label=f"P{index}")
+                    for index, part in enumerate(partitions)
+                ]
         else:
             results = [
                 vertical_partition(
@@ -420,10 +432,9 @@ class RefinePhase:
     """REFINE: merge clusters into joint clusters with shared chunks.
 
     On the encoded backend the incremental driver runs (rejected-pair memo,
-    shared mask cache) and merge attempts fan out over the engine's worker
-    pool when ``effective_jobs > 1``; the string backend keeps the
-    reference driver so backend equivalence tests cover the whole overhaul.
-    The driver's counters land on the report.
+    shared mask cache), in-process for every ``jobs`` value; the string
+    backend keeps the reference driver so backend equivalence tests cover
+    the whole overhaul.  The driver's counters land on the report.
     """
 
     name = "refine"
@@ -459,7 +470,6 @@ class RefinePhase:
                 excluded_terms=params.sensitive_terms,
                 use_bitsets=encoded,
                 memoize=encoded,
-                executor=ctx.pool() if encoded and len(clusters) > 2 else None,
                 stats=stats,
                 arena=(
                     ctx.vocabulary.subrecord_arena()
@@ -473,8 +483,6 @@ class RefinePhase:
             report.refine_merges_applied = stats.merges_applied
             report.refine_merges_skipped_memo = stats.skipped_by_memo
             report.refine_pairs_prefiltered = stats.prefiltered
-            report.refine_pairs_waved = stats.pairs_waved
-            report.refine_wave_fallbacks = stats.wave_fallbacks
         else:
             ctx.refined = list(clusters)
 
@@ -646,6 +654,7 @@ class Disassociator:
             dataset=dataset,
             working=working,
             pool_provider=self._shared_pool,
+            pool_release=self._release_pool,
             vocabulary=self.vocabulary if params.backend == "encoded" else None,
         )
         try:
@@ -753,19 +762,17 @@ def _parallel_vertical(partitions, k: int, m: int, pool: ProcessPoolExecutor):
 
     Labels are assigned by partition index and ``Executor.map`` preserves
     submission order, so the merge is deterministic.  The pool is the
-    engine's shared one (also used by REFINE) and is not shut down here.
-    Falls back to the serial path when the pool breaks mid-run.
+    engine's shared one and is not shut down here.  Returns ``None`` when
+    the pool is unusable -- ``BrokenProcessPool`` (a worker died) is a
+    ``RuntimeError`` -- so the caller can drop it and run serially.
     """
     payloads = [(tuple(part), k, m) for part in partitions]
     workers = getattr(pool, "_max_workers", 1) or 1
     try:
         chunksize = max(1, len(payloads) // (workers * 4))
         domain_sets = list(pool.map(_vertical_worker, payloads, chunksize=chunksize))
-    except (OSError, RuntimeError):  # pragma: no cover - no subprocess support
-        return [
-            vertical_partition_fast(part, k, m, label=f"P{index}")
-            for index, part in enumerate(partitions)
-        ]
+    except (OSError, RuntimeError):
+        return None
     results = []
     for index, (payload, outcome) in enumerate(zip(payloads, domain_sets)):
         record_list = [frozenset(r) for r in payload[0]]

@@ -44,17 +44,6 @@ gather + ``bincount`` wins at every node size measured).  The default
 (``AnonymizationParams.packed_min_rows``), per process
 (``$REPRO_PACKED_MIN_ROWS``) or by monkeypatching the module constant in
 tests.
-
-**Wave batching.**  The paper's default clusters (tens of rows) never
-reach the per-cluster crossover individually; :class:`WaveBatch` reaches
-it *collectively* by packing the candidate term masks of every cluster in
-a VERPART wave (or every merge-attempt pair of a REFINE pass) into one
-contiguous padded uint64 matrix with a group-offset index, running a
-single AND + ``bitwise_count`` sweep over all intra-group term pairs, and
-scattering the per-group verdicts back as small-int "bad partner"
-bitmasks.  The wave engages when the *total* rows of the wave pass
-:func:`packed_min_rows`, so the threshold keeps one meaning at both
-granularities.
 """
 
 from __future__ import annotations
@@ -63,7 +52,6 @@ import contextvars
 import os
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import ParameterError
@@ -203,7 +191,7 @@ def use(choice: Optional[str], min_rows: Optional[int] = None):
 
     The engine wraps each ``anonymize`` call in
     ``use(params.kernels, params.packed_min_rows)`` so every helper that
-    resolves lazily (checker construction, chunk assembly, wave batching)
+    resolves lazily (checker construction, chunk assembly)
     sees one consistent backend and threshold for the whole run.  ``None``
     keeps the surrounding resolution (environment / auto / default) in
     effect for that knob.  The overrides live in context variables, so
@@ -227,8 +215,7 @@ def set_default(choice: Optional[str], min_rows: Optional[int] = None) -> None:
 
     The process-pool **initializer**: worker processes start with a fresh
     interpreter where only the environment would apply, so the engine
-    (and :func:`repro.core.refine.refine`) pass
-    ``initializer=kernels.set_default, initargs=(resolved, resolved_rows)``
+    passes ``initializer=kernels.set_default, initargs=(resolved, resolved_rows)``
     when spawning pools -- every worker then resolves exactly the backend
     and threshold the parent run forced.
     """
@@ -539,175 +526,6 @@ def assemble_subrecords(
         frozenset(terms[position] for position in np.nonzero(row)[0])
         for row in columns
     ]
-
-
-# --------------------------------------------------------------------------- #
-# kernel 4: cross-cluster wave batching (VERPART waves, REFINE passes)
-# --------------------------------------------------------------------------- #
-#: Upper bound on the number of uint64 words ANDed per sweep slice; bounds
-#: the temporaries of a ragged wave (one 2k-row cluster widens every row of
-#: the pair sweep) to a few tens of megabytes.
-WAVE_SLICE_WORDS = 1 << 22
-
-
-@dataclass
-class WaveStats:
-    """Wave-batching work counters (surfaced on the engine report).
-
-    Attributes:
-        batches: wave sweeps executed (one packed matrix each).
-        groups: groups (clusters / merge pairs) whose pairwise verdicts
-            came out of a wave matrix.
-        fallbacks: groups evaluated on the per-cluster path instead
-            (python backend, ``m != 2``, or a wave below the crossover).
-    """
-
-    batches: int = 0
-    groups: int = 0
-    fallbacks: int = 0
-
-
-class WaveBatch:
-    """One vectorized check matrix for a whole wave of small groups.
-
-    Callers append each group's candidate term row-masks with
-    :meth:`add_group` (a group is one cluster's VERPART candidates, or one
-    REFINE merge-attempt pair's eligible terms).  :meth:`bad_pair_masks`
-    then packs *all* masks into one contiguous padded uint64 matrix,
-    enumerates every intra-group term pair through a group-offset index,
-    runs a single AND + ``bitwise_count`` sweep, and scatters the verdicts
-    back: for each group, a per-term small-int bitmask over the group's
-    term positions whose bit ``j`` is set when the pair's joint support
-    violates k^m-anonymity (``0 < popcount < k``).
-
-    The greedy selections then replay per group with one ``bad & accepted``
-    int test per candidate -- the same comparisons as the per-cluster
-    bigint DFS, evaluated in one batch, so decisions are bit-for-bit
-    identical.  Only the ``m == 2`` level is batched (the paper's default);
-    callers keep the per-cluster path for deeper ``m``.
-
-    Requires the numpy backend; callers guard on :func:`numpy_available`.
-    """
-
-    __slots__ = ("_k", "_masks", "_sizes", "_rows", "total_rows")
-
-    def __init__(self, k: int):
-        self._k = k
-        self._masks: list[int] = []   # every group's masks, back to back
-        self._sizes: list[int] = []   # terms per group
-        self._rows: list[int] = []    # rows per group
-        self.total_rows = 0
-
-    def __len__(self) -> int:
-        return len(self._sizes)
-
-    def add_group(self, masks: Sequence[int], num_rows: int) -> int:
-        """Append one group's term row-masks; returns the group index."""
-        self._masks.extend(masks)
-        self._sizes.append(len(masks))
-        self._rows.append(num_rows)
-        self.total_rows += num_rows
-        return len(self._sizes) - 1
-
-    def _matrix(self) -> "np.ndarray":
-        """All masks packed into one padded ``(terms, words)`` uint64 matrix."""
-        words = max(1, (max(self._rows, default=1) + 63) // 64)
-        count = len(self._masks)
-        if words == 1:
-            # Every mask fits one machine word: skip the to_bytes loop.
-            return np.fromiter(self._masks, dtype=np.uint64, count=count).reshape(
-                count, 1
-            )
-        return pack_mask_rows(self._masks, count, words * 64)
-
-    def bad_pair_masks(self) -> dict[int, list[int]]:
-        """Per-group "bad partner" bitmasks from one AND + popcount sweep.
-
-        Returns ``{group_index: bad}`` where ``bad[i]`` has bit ``j`` set
-        when the supports of terms ``i`` and ``j`` of that group intersect
-        on fewer than ``k`` (but more than zero) rows.  Groups without any
-        violating pair are absent -- the common case, which lets callers
-        accept a whole group without touching its masks again.
-        """
-        return bad_pair_masks_from_matrix(self._matrix(), self._sizes, self._k)
-
-    def group_km_verdicts(self) -> list[bool]:
-        """Whole-group k^2-anonymity verdicts (batch ``is_km_anonymous``).
-
-        A group passes when every singleton support reaches ``k`` and no
-        term pair intersects on ``(0, k)`` rows -- exactly the ``m == 2``
-        bigint DFS verdict, evaluated for all groups in one sweep.
-        """
-        verdicts = [True] * len(self._sizes)
-        if not self._masks:
-            return verdicts
-        matrix = self._matrix()
-        singletons = _popcounts(matrix) < self._k
-        position = 0
-        for group, size in enumerate(self._sizes):
-            if size and bool(singletons[position : position + size].any()):
-                verdicts[group] = False
-            position += size
-        for group in self.bad_pair_masks():
-            verdicts[group] = False
-        return verdicts
-
-
-def bad_pair_masks_from_matrix(
-    matrix: "np.ndarray", sizes: Sequence[int], k: int
-) -> dict[int, list[int]]:
-    """The :meth:`WaveBatch.bad_pair_masks` sweep over a caller-built matrix.
-
-    ``matrix`` is a ``(rows, words)`` uint64 mask matrix holding every
-    group's term masks back to back; ``sizes`` gives each group's row
-    count.  Exposed so callers that can assemble the matrix vectorized
-    (e.g. REFINE's pair wave, whose rows are ``left | right << shift`` of
-    arrays it already holds) skip the bigint staging list entirely.
-    """
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(sizes, dtype=np.int64), out=offsets[1:])
-    # Intra-group (i < j) pair index arrays: groups of equal term count
-    # share one triangular template, placed at each group's offset.
-    by_size: dict[int, list[int]] = {}
-    for group, size in enumerate(sizes):
-        if size >= 2:
-            by_size.setdefault(size, []).append(int(offsets[group]))
-    left_parts: list[np.ndarray] = []
-    right_parts: list[np.ndarray] = []
-    for size, starts in by_size.items():
-        tri_i, tri_j = np.triu_indices(size, k=1)
-        base = np.asarray(starts, dtype=np.int64)[:, None]
-        left_parts.append((base + tri_i[None, :]).ravel())
-        right_parts.append((base + tri_j[None, :]).ravel())
-    bad: dict[int, list[int]] = {}
-    if not left_parts:
-        return bad
-    left = np.concatenate(left_parts)
-    right = np.concatenate(right_parts)
-    words = matrix.shape[1]
-    step = max(1, WAVE_SLICE_WORDS // words)
-    for start in range(0, len(left), step):
-        li = left[start : start + step]
-        rj = right[start : start + step]
-        supports = _popcounts(matrix[li] & matrix[rj])
-        violations = np.nonzero((supports > 0) & (supports < k))[0]
-        if not len(violations):
-            continue
-        flat_i = li[violations]
-        flat_j = rj[violations]
-        # One vectorized group lookup for the whole slice, then plain
-        # list/int ops per violating pair (the bigint bitmask merge
-        # itself cannot vectorize past 64 candidates).
-        groups = np.searchsorted(offsets, flat_i, side="right") - 1
-        local_i = (flat_i - offsets[groups]).tolist()
-        local_j = (flat_j - offsets[groups]).tolist()
-        for group, i, j in zip(groups.tolist(), local_i, local_j):
-            masks = bad.get(group)
-            if masks is None:
-                masks = bad[group] = [0] * sizes[group]
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    return bad
 
 
 def assemble_subrecords_python(

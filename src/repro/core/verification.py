@@ -16,14 +16,10 @@ against the three properties the proof relies on:
 ``verify_km_anonymity`` raises :class:`AnonymityViolationError` on the first
 violation, while ``audit`` returns a full report for diagnostics and tests.
 
-The chunk checks run through
-:func:`repro.core.anonymity.km_anonymous_batch`: the auditor first walks the
-cluster tree collecting every record/shared chunk, then asks for all
-k^m verdicts in one call -- on the numpy kernel backend (see
-:mod:`repro.core.kernels`) that packs the whole dataset's chunks into a
-single wave matrix instead of checking cluster by cluster.  The exhaustive
-Counter-based search still runs per failing chunk, and audit verdicts are
-identical on both backends.
+The chunk checks run through :func:`repro.core.anonymity.is_km_anonymous`,
+so on the numpy kernel backend (see :mod:`repro.core.kernels`) large chunks
+are verified with the packed batch DFS; audit verdicts are identical on
+both backends.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from typing import Optional
 from repro.core.anonymity import (
     find_km_violation,
     is_k_anonymous,
-    km_anonymous_batch,
+    is_km_anonymous,
     validate_km_parameters,
 )
 from repro.core.clusters import (
@@ -76,55 +72,47 @@ class AuditReport:
         )
 
 
-def _collect_simple_cluster(
-    cluster: SimpleCluster, k: int, m: int, report: AuditReport, chunk_jobs: list
-) -> None:
+def _audit_chunk(label: str, subrecords, k: int, m: int, report: AuditReport) -> None:
+    # Fast accept via the short-circuiting bitset check; the exhaustive
+    # Counter-based search runs only when a violation exists, to report the
+    # worst offending itemset for diagnostics.
+    if is_km_anonymous(subrecords, k, m):
+        return
+    violation = find_km_violation(subrecords, k, m)
+    if violation is not None:
+        itemset, support = violation
+        report.ok = False
+        report.chunk_violations.append((label, itemset, support))
+
+
+def _audit_simple_cluster(cluster: SimpleCluster, k: int, m: int, report: AuditReport) -> None:
     for chunk in cluster.record_chunks:
-        chunk_jobs.append((cluster.label, chunk.subrecords))
+        _audit_chunk(cluster.label, chunk.subrecords, k, m, report)
     if not satisfies_lemma2(cluster, k, m):
         report.ok = False
         report.lemma2_violations.append(cluster.label)
 
 
-def _collect_joint_cluster(
-    cluster: JointCluster, k: int, m: int, report: AuditReport, chunk_jobs: list
-) -> None:
+def _audit_joint_cluster(cluster: JointCluster, k: int, m: int, report: AuditReport) -> None:
     # T^r: terms in record or shared chunks of the *children* of this joint
     # cluster (Property 1 is stated over the clusters forming J).
     restricted: set = set()
     for child in cluster.children:
         restricted.update(child.record_chunk_terms())
     for chunk in cluster.shared_chunks:
-        chunk_jobs.append((cluster.label, chunk.subrecords))
+        _audit_chunk(cluster.label, chunk.subrecords, k, m, report)
         if chunk.domain & restricted and not is_k_anonymous(chunk.subrecords, k):
             report.ok = False
             report.property1_violations.append(cluster.label)
     for child in cluster.children:
-        _collect_cluster(child, k, m, report, chunk_jobs)
+        _audit_cluster(child, k, m, report)
 
 
-def _collect_cluster(
-    cluster: Cluster, k: int, m: int, report: AuditReport, chunk_jobs: list
-) -> None:
+def _audit_cluster(cluster: Cluster, k: int, m: int, report: AuditReport) -> None:
     if isinstance(cluster, JointCluster):
-        _collect_joint_cluster(cluster, k, m, report, chunk_jobs)
+        _audit_joint_cluster(cluster, k, m, report)
     else:
-        _collect_simple_cluster(cluster, k, m, report, chunk_jobs)
-
-
-def _audit_chunk_jobs(chunk_jobs: list, k: int, m: int, report: AuditReport) -> None:
-    # One batched verdict sweep over every collected chunk; the exhaustive
-    # Counter-based search runs only when a violation exists, to report the
-    # worst offending itemset for diagnostics.
-    verdicts = km_anonymous_batch([subrecords for _, subrecords in chunk_jobs], k, m)
-    for (label, subrecords), anonymous in zip(chunk_jobs, verdicts):
-        if anonymous:
-            continue
-        violation = find_km_violation(subrecords, k, m)
-        if violation is not None:
-            itemset, support = violation
-            report.ok = False
-            report.chunk_violations.append((label, itemset, support))
+        _audit_simple_cluster(cluster, k, m, report)
 
 
 def audit(
@@ -145,10 +133,8 @@ def audit(
     m = published.m if m is None else m
     validate_km_parameters(k, m)
     report = AuditReport()
-    chunk_jobs: list = []
     for cluster in published.clusters:
-        _collect_cluster(cluster, k, m, report, chunk_jobs)
-    _audit_chunk_jobs(chunk_jobs, k, m, report)
+        _audit_cluster(cluster, k, m, report)
     return report
 
 

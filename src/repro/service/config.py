@@ -149,7 +149,7 @@ class ServiceConfig:
         sensitive_terms: terms forced into term chunks (l-diversity).
         verify: independently re-audit each publication before returning.
         backend: execution core (``"encoded"`` or ``"string"``).
-        jobs: worker processes for the VERPART/REFINE fan-outs; the
+        jobs: worker processes for the VERPART fan-out; the
             service spawns this pool once and shares it across requests.
         kernels: vectorized-kernel backend (``"numpy"`` / ``"python"`` /
             ``"auto"`` / ``None`` meaning ``$REPRO_KERNELS`` then auto);

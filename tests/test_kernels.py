@@ -11,7 +11,8 @@ enforcement:
   ``REPRO_KERNELS`` matrix,
 * streaming determinism with and without shard-lifetime vocabulary reuse,
 * backend-resolution semantics (explicit choice > forced > environment >
-  auto) and parameter validation.
+  auto) and parameter validation, and the same for the ``packed_min_rows``
+  crossover.
 """
 
 from __future__ import annotations
@@ -144,6 +145,59 @@ class TestResolution:
         with pytest.raises(ParameterError):
             AnonymizationParams(kernels="fortran")
         assert AnonymizationParams(kernels="python").kernels == "python"
+
+
+# --------------------------------------------------------------------------- #
+# packed_min_rows resolution and validation
+# --------------------------------------------------------------------------- #
+class TestPackedMinRows:
+    def test_default(self, monkeypatch):
+        monkeypatch.delenv(kernels.PACKED_MIN_ROWS_ENV, raising=False)
+        assert kernels.packed_min_rows() == kernels.PACKED_MIN_ROWS
+
+    def test_env_variable(self, monkeypatch):
+        monkeypatch.setenv(kernels.PACKED_MIN_ROWS_ENV, "7")
+        assert kernels.packed_min_rows() == 7
+
+    def test_explicit_choice_wins(self, monkeypatch):
+        monkeypatch.setenv(kernels.PACKED_MIN_ROWS_ENV, "7")
+        assert kernels.packed_min_rows(3) == 3
+
+    def test_use_overrides_env(self, monkeypatch):
+        monkeypatch.setenv(kernels.PACKED_MIN_ROWS_ENV, "7")
+        with kernels.use(None, 5):
+            assert kernels.packed_min_rows() == 5
+        assert kernels.packed_min_rows() == 7
+
+    def test_set_default_installs_override(self, monkeypatch):
+        monkeypatch.delenv(kernels.PACKED_MIN_ROWS_ENV, raising=False)
+        kernels.set_default(None, 9)
+        try:
+            assert kernels.packed_min_rows() == 9
+        finally:
+            kernels.set_default(None, None)
+        assert kernels.packed_min_rows() == kernels.PACKED_MIN_ROWS
+
+    @pytest.mark.parametrize("bad", [0, -5, 2.5, "many", None])
+    def test_validation_rejects(self, bad):
+        with pytest.raises(ParameterError):
+            kernels.validate_min_rows(bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, "soon"])
+    def test_params_field_validated(self, bad):
+        with pytest.raises(ParameterError):
+            AnonymizationParams(packed_min_rows=bad)
+
+    def test_params_field_lands_in_counters(self):
+        dataset = make_workload("quest", records=60, domain=30, avg_len=3.0, seed=3)
+        engine = Disassociator(AnonymizationParams(k=3, packed_min_rows=123))
+        engine.anonymize(dataset)
+        assert engine.last_report.counters()["packed_min_rows"] == 123
+
+    def test_env_bad_value_rejected(self, monkeypatch):
+        monkeypatch.setenv(kernels.PACKED_MIN_ROWS_ENV, "zero")
+        with pytest.raises(ParameterError):
+            kernels.packed_min_rows()
 
 
 # --------------------------------------------------------------------------- #

@@ -528,6 +528,49 @@ class TestEngineLifecycle:
         assert engine.anonymize(paper_dataset) is not None
         engine.close()
 
+    def test_killed_worker_pool_is_replaced(self, paper_dataset, monkeypatch):
+        # A keep_pool engine (the service's shape) whose worker is SIGKILLed
+        # must finish the next call serially and drop the dead executor, so
+        # the call after that spawns a fresh pool.
+        import os
+        import signal
+        import time
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not hasattr(signal, "SIGKILL"):
+            pytest.skip("needs SIGKILL")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        params = AnonymizationParams(k=3, m=2, max_cluster_size=6, jobs=2)
+        expected = Disassociator(AnonymizationParams(k=3, m=2, max_cluster_size=6))
+        expected = expected.anonymize(paper_dataset).to_dict()
+        engine = Disassociator(params, keep_pool=True)
+        try:
+            assert engine.anonymize(paper_dataset).to_dict() == expected
+            pool = engine._pool
+            if pool is None:
+                pytest.skip("platform cannot spawn worker processes")
+            assert engine.last_report.effective_jobs == 2
+
+            os.kill(pool.submit(os.getpid).result(timeout=60), signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    pool.submit(os.getpid).result(timeout=60)
+                except BrokenProcessPool:
+                    break
+                assert time.monotonic() < deadline, "pool never noticed the kill"
+                time.sleep(0.05)
+
+            assert engine.anonymize(paper_dataset).to_dict() == expected
+            assert engine._pool is None
+            assert engine.last_report.effective_jobs == 1
+
+            assert engine.anonymize(paper_dataset).to_dict() == expected
+            assert engine._pool is not None and engine._pool is not pool
+            assert engine.last_report.effective_jobs == 2
+        finally:
+            engine.close()
+
 
 class TestServiceLifecycle:
     def test_double_close_raises(self):

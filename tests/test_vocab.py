@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.core.dataset import TransactionDataset
 from repro.core.vocab import (
     EncodedCluster,
     EncodedDataset,
+    SubrecordArena,
     Vocabulary,
     iter_mask_bits,
 )
@@ -136,3 +138,56 @@ class TestBitsetChunkChecker:
         assert checker.try_add("a")
         checker.reset()
         assert checker.accepted_terms == frozenset()
+
+
+class TestSubrecordArena:
+    def test_interning_is_canonical(self):
+        arena = SubrecordArena()
+        first = arena.intern(("a", "b"))
+        again = arena.intern(frozenset(("b", "a")))
+        assert first == again
+        assert len(arena) == 1
+        assert arena.subrecord(first) == frozenset(("a", "b"))
+        assert arena.id_of(("a", "b")) == first
+        assert arena.id_of(("z",)) is None
+
+    def test_subrecords_for_matches_projection(self):
+        rng = random.Random(17)
+        arena = SubrecordArena()
+        for _ in range(50):
+            rows = rng.randint(1, 40)
+            terms = [f"t{i}" for i in range(rng.randint(1, 6))]
+            term_masks = []
+            row_sets: list[set] = [set() for _ in range(rows)]
+            for term in terms:
+                mask = 0
+                for row in range(rows):
+                    if rng.random() < 0.5:
+                        mask |= 1 << row
+                        row_sets[row].add(term)
+                if mask:
+                    term_masks.append((term, mask))
+            or_mask = 0
+            for _term, mask in term_masks:
+                or_mask |= mask
+            covered = [row for row in range(rows) if row_sets[row]]
+            expected = [frozenset(row_sets[row]) for row in covered]
+            got = arena.subrecords_for(term_masks, or_mask, len(covered))
+            assert got == expected
+
+    def test_subrecords_for_shares_instances(self):
+        arena = SubrecordArena()
+        # Three rows, all with the identical pattern {x, y}.
+        term_masks = [("x", 0b111), ("y", 0b111)]
+        subs = arena.subrecords_for(term_masks, 0b111, 3)
+        assert len(subs) == 3
+        assert subs[0] is subs[1] is subs[2]
+        # The same pattern from a later call resolves to the same instance.
+        again = arena.subrecords_for(term_masks, 0b111, 3)
+        assert again[0] is subs[0]
+
+    def test_vocabulary_arena_is_lazy_and_stable(self):
+        vocab = Vocabulary()
+        arena = vocab.subrecord_arena()
+        assert isinstance(arena, SubrecordArena)
+        assert vocab.subrecord_arena() is arena
