@@ -1,6 +1,6 @@
 """Interned-core speedup: encoded backend vs the string reference.
 
-End-to-end ``anonymize()`` on the synthetic QUEST benchmark dataset at the
+End-to-end ``Disassociator.anonymize()`` on the synthetic QUEST benchmark dataset at the
 paper's default parameters (k=5, m=2, max_cluster_size=30, refine and
 verify enabled), run against
 

@@ -8,7 +8,8 @@ the same deployment.  Two ways to serve them:
   resolved kernel backend, the engine and the interning vocabulary are paid
   once and shared;
 * **cold** -- each request is a fresh one-shot invocation (the pre-service
-  pattern: a CLI call or a script invoking ``anonymize()`` per request),
+  pattern: a CLI call or a script running one service request per
+  process),
   i.e. a new Python process that imports the library, reads the input and
   runs the pipeline from scratch.
 
@@ -51,15 +52,15 @@ NUM_REQUESTS = 5
 #: Anonymization parameters shared by both sides (paper defaults).
 SERVICE_CONFIG = ServiceConfig(k=5, m=2, max_cluster_size=30)
 
-#: The cold side: one fresh interpreter per request, running the legacy
-#: one-shot entry point end to end (import, read, anonymize, write).
+#: The cold side: one fresh interpreter per request, running a one-request
+#: service end to end (import, read, anonymize, write).
 _COLD_SCRIPT = """
-import sys, warnings
-warnings.simplefilter("ignore", DeprecationWarning)
-from repro import anonymize
+import sys
 from repro.datasets.io import read_records, write_disassociated_json
+from repro.service import AnonymizationRequest, AnonymizationService, ServiceConfig
 dataset = read_records(sys.argv[1])
-published = anonymize(dataset, k=5, m=2, max_cluster_size=30)
+with AnonymizationService(ServiceConfig(k=5, m=2, max_cluster_size=30)) as service:
+    published = service.run(AnonymizationRequest(dataset, mode="batch")).publication
 write_disassociated_json(published, sys.argv[2])
 """
 
@@ -102,7 +103,7 @@ def run_service_comparison() -> dict:
             warm_path = Path(tmp) / "warm.json"
             warm_results[-1].save(warm_path)
 
-        # Cold: N fresh interpreters, each running the one-shot entry point.
+        # Cold: N fresh interpreters, each running a one-request service.
         env = _cold_env()
         cold_path = Path(tmp) / "cold.json"
         cold_call_seconds = []

@@ -29,10 +29,11 @@ Quickstart::
         published = service.run(data).publication
     sample_world = reconstruct(published, seed=0)
 
-The long-lived :class:`AnonymizationService` (:mod:`repro.service`) is
-the recommended entry point; the one-shot :func:`anonymize` /
-:func:`anonymize_stream` helpers remain as deprecation-shimmed wrappers
-with bit-for-bit identical output.
+There are two public ways in: the long-lived :class:`AnonymizationService`
+(:mod:`repro.service`), which holds warm state across requests and routes
+each one to the in-memory, streaming or incremental pipeline, and the
+single-pass :class:`Disassociator` engine it runs on.  Both publish the
+same bytes.
 """
 
 from repro.core import (
@@ -53,17 +54,11 @@ from repro.core import (
     TermChunk,
     TransactionDataset,
     Vocabulary,
-    anonymize,
     audit,
     reconstruct,
     verify_km_anonymity,
 )
-from repro.stream import (
-    ShardedPipeline,
-    ShardedReport,
-    StreamParams,
-    anonymize_stream,
-)
+from repro.stream import ShardedPipeline, ShardedReport, StreamParams
 from repro.service import (
     AnonymizationRequest,
     AnonymizationService,
@@ -130,8 +125,6 @@ __all__ = [
     "TermChunk",
     "TransactionDataset",
     "anonymization_service",
-    "anonymize_stream",
-    "anonymize",
     "audit",
     "reconstruct",
     "verify_km_anonymity",

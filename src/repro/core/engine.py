@@ -46,9 +46,7 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence
 
@@ -398,12 +396,15 @@ class VerticalPhase:
         """Fill ``ctx.clusters`` with one published cluster per partition."""
         params = ctx.params
         partitions = ctx.partitions or []
-        ctx.report.effective_jobs = effective_jobs(params.jobs)
+        workers = effective_jobs(params.jobs)
+        ctx.report.effective_jobs = workers
         if params.backend == "encoded":
             pool = ctx.pool() if len(partitions) > 1 else None
             results = None
             if pool is not None:
-                results = _parallel_vertical(partitions, params.k, params.m, pool)
+                results = _parallel_vertical(
+                    partitions, params.k, params.m, pool, workers
+                )
                 if results is None:
                     ctx.release_pool()
                     ctx.report.effective_jobs = 1
@@ -664,14 +665,6 @@ class Disassociator:
             with kernels.use(report.kernels, report.packed_min_rows):
                 self.build_pipeline().run(ctx)
                 published = ctx.publish()
-        except BrokenProcessPool:
-            # A crashed worker poisons the executor permanently.  Drop it
-            # so the next anonymize call respawns a fresh pool instead of
-            # failing forever -- long-lived keep_pool engines (the service
-            # layer) would otherwise turn one worker crash into a standing
-            # outage.
-            self._release_pool()
-            raise
         finally:
             if not self.keep_pool:
                 self._release_pool()
@@ -757,17 +750,19 @@ def _vertical_worker(payload):
     return domains, view.masks, len(record_list)
 
 
-def _parallel_vertical(partitions, k: int, m: int, pool: ProcessPoolExecutor):
+def _parallel_vertical(
+    partitions, k: int, m: int, pool: ProcessPoolExecutor, workers: int
+):
     """Fan independent per-cluster VERPART calls out over a process pool.
 
     Labels are assigned by partition index and ``Executor.map`` preserves
     submission order, so the merge is deterministic.  The pool is the
-    engine's shared one and is not shut down here.  Returns ``None`` when
-    the pool is unusable -- ``BrokenProcessPool`` (a worker died) is a
-    ``RuntimeError`` -- so the caller can drop it and run serially.
+    engine's shared one (``workers`` processes) and is not shut down here.
+    Returns ``None`` when the pool is unusable -- ``BrokenProcessPool`` (a
+    worker died) is a ``RuntimeError`` -- so the caller can drop it and
+    run serially.
     """
     payloads = [(tuple(part), k, m) for part in partitions]
-    workers = getattr(pool, "_max_workers", 1) or 1
     try:
         chunksize = max(1, len(payloads) // (workers * 4))
         domain_sets = list(pool.map(_vertical_worker, payloads, chunksize=chunksize))
@@ -818,50 +813,3 @@ def __getattr__(name: str):
 
         return getattr(stream, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def anonymize(
-    dataset: TransactionDataset,
-    k: int = 5,
-    m: int = 2,
-    max_cluster_size: int = DEFAULT_MAX_CLUSTER_SIZE,
-    refine: bool = True,
-    max_join_size: Optional[int] = None,
-    sensitive_terms=(),
-    verify: bool = True,
-    backend: str = "encoded",
-    jobs: int = 1,
-    kernels: Optional[str] = None,
-) -> DisassociatedDataset:
-    """Functional one-call interface to the disassociation pipeline.
-
-    .. deprecated:: 1.1
-        Compatibility shim over :class:`repro.service.AnonymizationService`;
-        the output is bit-for-bit identical, but a one-shot call rebuilds
-        the warm state (worker pool, vocabulary, kernel resolution) the
-        service exists to amortize.  Serving more than one request?  Hold a
-        service and call :meth:`~repro.service.AnonymizationService.run`.
-    """
-    warnings.warn(
-        "anonymize() is a one-shot compatibility shim; use "
-        "repro.service.AnonymizationService for repeated requests",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Imported lazily: the service layer builds on this module.
-    from repro.service import AnonymizationRequest, AnonymizationService, ServiceConfig
-
-    config = ServiceConfig(
-        k=k,
-        m=m,
-        max_cluster_size=max_cluster_size,
-        refine=refine,
-        max_join_size=max_join_size,
-        sensitive_terms=frozenset(sensitive_terms),
-        verify=verify,
-        backend=backend,
-        jobs=jobs,
-        kernels=kernels,
-    )
-    with AnonymizationService(config) as service:
-        return service.run(AnonymizationRequest(dataset, mode="batch")).publication

@@ -118,16 +118,13 @@ class FaultInjected(ReproError):
     Only the deterministic fault-injection harness (:mod:`repro.faults`)
     raises this; production code never does.  ``point`` names the injection
     point that fired and ``hit`` the 1-based arrival count that triggered
-    it.  ``transient`` marks the fault as retryable -- the service layer's
-    retry policy treats transient injected faults exactly like a crashed
-    worker pool, which is what the resilience test suite relies on.
+    it.
     """
 
-    def __init__(self, point: str, hit: int, *, transient: bool = True):
+    def __init__(self, point: str, hit: int):
         super().__init__(f"injected fault at {point!r} (hit {hit})")
         self.point = point
         self.hit = hit
-        self.transient = transient
 
 
 class EngineClosedError(ReproError):
@@ -154,18 +151,3 @@ class ServiceClosedError(ServiceError):
 class ServiceSaturatedError(ServiceError):
     """Raised by non-blocking :meth:`~repro.service.AnonymizationService.submit`
     when the bounded job queue is full (the service is saturated)."""
-
-
-class RetriesExhaustedError(ServiceError):
-    """Raised when a request keeps failing transiently through every retry.
-
-    The service retried the request per its
-    :class:`~repro.service.RetryPolicy` (crashed worker pools and injected
-    transient faults are retryable; parameter and dataset errors are not)
-    and every attempt failed.  The last transient failure is chained as
-    ``__cause__``; ``attempts`` records how many executions were tried.
-    """
-
-    def __init__(self, message: str, *, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts

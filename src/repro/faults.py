@@ -38,7 +38,7 @@ enumerate "crash at every point"):
 ``stream.checkpoint``     before each per-shard snapshot write
 ``stream.merge``          before the merge phase
 ``stream.verify``         before the global boundary repair
-``service.execute``       at the start of each request execution attempt
+``service.execute``       at the start of each request execution
 ``store.open``            before a persistent shard store is opened/created
 ``store.validate``        before the store's fingerprint/plan validation
 ``store.mutate``          before a delta's records mutation is committed
@@ -107,15 +107,12 @@ class FaultSpec:
 
     Exactly one of ``hit`` (fire on the Nth arrival, 1-based) and
     ``probability`` (fire per arrival with this probability, from the
-    plan's seeded generator) must be set.  ``transient`` is carried onto
-    the raised :class:`~repro.exceptions.FaultInjected` and decides whether
-    the service retry policy treats the fault as retryable.
+    plan's seeded generator) must be set.
     """
 
     point: str
     hit: Optional[int] = None
     probability: Optional[float] = None
-    transient: bool = True
 
     def __post_init__(self):
         if (self.hit is None) == (self.probability is None):
@@ -200,11 +197,7 @@ class FaultPlan:
                 "seed": self.seed,
                 "triggers": {
                     point: [
-                        {
-                            "hit": spec.hit,
-                            "probability": spec.probability,
-                            "transient": spec.transient,
-                        }
+                        {"hit": spec.hit, "probability": spec.probability}
                         for spec in specs
                     ]
                     for point, specs in sorted(self._specs.items())
@@ -223,9 +216,9 @@ class FaultPlan:
             for spec in specs:
                 if spec.hit is not None:
                     if spec.hit == count:
-                        raise FaultInjected(point, count, transient=spec.transient)
+                        raise FaultInjected(point, count)
                 elif self._rngs[point].random() < spec.probability:
-                    raise FaultInjected(point, count, transient=spec.transient)
+                    raise FaultInjected(point, count)
 
 
 def plan_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[FaultPlan]:

@@ -18,18 +18,18 @@ The public surface of the service layer:
   job queue mapped to 429/503 backpressure.
 * :class:`~repro.service.metrics.ServiceMetrics` -- per-request latency
   and queue-wait histograms, phase timings, worker utilization and
-  failure accounting (retries, deadline expiries, engine rebuilds) behind
+  failure accounting (failed requests, deadline expiries) behind
   :meth:`AnonymizationService.stats`.
-* :class:`RetryPolicy` -- bounded exponential-backoff retry of transient
-  failures (crashed worker pools, injected faults), applied per request
-  together with its deadline (``AnonymizationRequest.deadline`` /
-  ``ServiceConfig.default_deadline``).
 
-The legacy one-shot entry points (:func:`repro.anonymize`,
-:func:`repro.anonymize_stream`, the CLI) are thin shims over this layer.
+Every request executes once, under its deadline
+(``AnonymizationRequest.deadline`` / ``ServiceConfig.default_deadline``);
+a failure surfaces as its typed error and is never retried by the
+service.  A delta the client must apply exactly once carries a
+``delta_id``: re-sending it after a failure applies the mutation at most
+once.  The CLI's ``anonymize`` and ``serve`` commands run on this layer.
 """
 
-from repro.service.config import ENV_PREFIX, RetryPolicy, ServiceConfig
+from repro.service.config import ENV_PREFIX, ServiceConfig
 from repro.service.http import ServiceHTTPServer, serve
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.request import MODES, AnonymizationRequest, PublicationResult
@@ -43,7 +43,6 @@ __all__ = [
     "Job",
     "LatencyHistogram",
     "PublicationResult",
-    "RetryPolicy",
     "ServiceConfig",
     "ServiceHTTPServer",
     "ServiceMetrics",

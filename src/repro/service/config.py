@@ -43,100 +43,6 @@ _FALSE = frozenset({"0", "false", "no", "off"})
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff for transient request failures.
-
-    The service re-executes a request that failed *transiently* (a crashed
-    worker-process pool, an injected transient fault -- never parameter or
-    dataset errors) up to ``attempts`` total executions, sleeping
-    ``backoff * multiplier**(n-1)`` seconds (capped at ``max_backoff``)
-    after the ``n``-th failure.  Retries never sleep past a request's
-    deadline, and a request whose source cannot be safely re-read (a plain
-    iterable, already partially consumed) is never retried.
-
-    ``attempts=1`` disables retry entirely.
-    """
-
-    attempts: int = 2
-    backoff: float = 0.05
-    multiplier: float = 2.0
-    max_backoff: float = 2.0
-
-    def __post_init__(self):
-        if not isinstance(self.attempts, int) or self.attempts < 1:
-            raise ParameterError(
-                f"retry attempts must be a positive integer, got {self.attempts!r}"
-            )
-        if self.backoff < 0:
-            raise ParameterError(f"retry backoff must be >= 0, got {self.backoff}")
-        if self.multiplier < 1.0:
-            raise ParameterError(
-                f"retry multiplier must be >= 1, got {self.multiplier}"
-            )
-        if self.max_backoff < 0:
-            raise ParameterError(
-                f"retry max_backoff must be >= 0, got {self.max_backoff}"
-            )
-
-    def delay(self, failed_attempts: int) -> float:
-        """Seconds to sleep after the ``failed_attempts``-th failure (1-based)."""
-        return min(
-            self.backoff * self.multiplier ** (max(failed_attempts, 1) - 1),
-            self.max_backoff,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-safe dict form; round-trips through :meth:`from_dict`."""
-        return {
-            "attempts": self.attempts,
-            "backoff": self.backoff,
-            "multiplier": self.multiplier,
-            "max_backoff": self.max_backoff,
-        }
-
-    def to_text(self) -> str:
-        """The env-variable syntax; round-trips through :meth:`from_text`."""
-        return (
-            f"attempts={self.attempts},backoff={self.backoff},"
-            f"multiplier={self.multiplier},max_backoff={self.max_backoff}"
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "RetryPolicy":
-        """Build a policy from a mapping; unknown keys raise."""
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ParameterError(
-                f"unknown RetryPolicy keys: {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(known))})"
-            )
-        return cls(**dict(payload))
-
-    @classmethod
-    def from_text(cls, text: str) -> "RetryPolicy":
-        """Parse ``"attempts=3,backoff=0.1,..."`` (the env-variable syntax)."""
-        values: dict = {}
-        for raw in text.split(","):
-            token = raw.strip()
-            if not token:
-                continue
-            name, sep, value = token.partition("=")
-            name = name.strip()
-            if not sep:
-                raise ParameterError(
-                    f"malformed retry token {token!r}: expected name=value"
-                )
-            try:
-                values[name] = int(value) if name == "attempts" else float(value)
-            except ValueError:
-                raise ParameterError(
-                    f"malformed retry value in {token!r}"
-                ) from None
-        return cls.from_dict(values)
-
-
-@dataclass(frozen=True)
 class ServiceConfig:
     """Every knob of the anonymization service, validated once.
 
@@ -187,8 +93,6 @@ class ServiceConfig:
             boundary with
             :class:`~repro.exceptions.DeadlineExceededError`.  ``None``
             (default): no deadline.
-        retry: the :class:`RetryPolicy` for transient request failures
-            (crashed worker pools, injected transient faults).
         max_pending: bound on the service's job queue (``submit`` blocks --
             or raises, when non-blocking -- once this many jobs wait).
         workers: service worker threads draining the job queue.  Each
@@ -222,7 +126,6 @@ class ServiceConfig:
     checkpoint: Optional[bool] = None
     auto_stream_threshold: Optional[int] = None
     default_deadline: Optional[float] = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     max_pending: int = 32
     workers: int = 1
 
@@ -236,17 +139,6 @@ class ServiceConfig:
             object.__setattr__(self, "store_dir", str(self.store_dir))
         if self.pubstore_dir is not None:
             object.__setattr__(self, "pubstore_dir", str(self.pubstore_dir))
-        # Accept the retry policy in any of its serialized shapes, so
-        # from_dict/from_env round-trip without the caller pre-parsing.
-        if isinstance(self.retry, str):
-            object.__setattr__(self, "retry", RetryPolicy.from_text(self.retry))
-        elif isinstance(self.retry, Mapping):
-            object.__setattr__(self, "retry", RetryPolicy.from_dict(self.retry))
-        elif not isinstance(self.retry, RetryPolicy):
-            raise ParameterError(
-                f"retry must be a RetryPolicy (or its dict/text form), "
-                f"got {self.retry!r}"
-            )
         if self.default_deadline is not None and not self.default_deadline > 0:
             raise ParameterError(
                 f"default_deadline must be positive seconds, "
@@ -329,10 +221,6 @@ class ServiceConfig:
             value = getattr(self, spec.name)
             if isinstance(value, frozenset):
                 value = sorted(value)
-            elif isinstance(value, RetryPolicy):
-                # The compact text form: JSON-safe, ``str()``-stable, and
-                # accepted verbatim by from_dict/from_env/__post_init__.
-                value = value.to_text()
             payload[spec.name] = value
         return payload
 
@@ -445,9 +333,6 @@ def _parse_env_value(name: str, raw: str):
                 f"{ENV_PREFIX}{name.upper()}: expected a number of seconds, "
                 f"got {raw!r}"
             ) from None
-    if name == "retry":
-        # "attempts=3,backoff=0.1" -- RetryPolicy's text form.
-        return RetryPolicy.from_text(text)
     if name in _INT_FIELDS or name in _OPTIONAL_INT_FIELDS:
         if name in _OPTIONAL_INT_FIELDS and text.lower() in ("", "none"):
             return None

@@ -41,10 +41,10 @@ Error mapping: every error body is ``{"error": <message>, "kind":
 records answer ``400`` (kind ``bad_request``); unknown paths ``404``;
 wrong methods ``405``; oversize bodies ``413`` (kind ``too_large``);
 queue saturation ``429`` with ``Retry-After`` (kind ``saturated``); a
-closed service ``503`` (kind ``closed``); a request whose transient
-failures outlived its retry budget ``503`` with ``Retry-After`` (kind
-``retries_exhausted``); an expired request deadline ``504`` (kind
-``deadline_exceeded``); anything unexpected ``500`` (kind ``internal``).
+closed service ``503`` (kind ``closed``); an expired request deadline
+``504`` (kind ``deadline_exceeded``); anything unexpected ``500`` (kind
+``internal``).  Every request executes once: a failure is answered, not
+retried.
 ``POST /anonymize`` additionally accepts ``"deadline"`` (seconds budget
 for this request) and ``"resume"`` (resume a checkpointed streaming run;
 requires ``"mode": "stream"``).  With ``"mode": "delta"`` the body
@@ -76,7 +76,6 @@ from repro.exceptions import (
     DeadlineExceededError,
     ParameterError,
     ReproError,
-    RetriesExhaustedError,
     ServiceClosedError,
     ServiceSaturatedError,
 )
@@ -108,8 +107,6 @@ def classify_error(exc: BaseException) -> tuple:
     """
     if isinstance(exc, DeadlineExceededError):
         return 504, "deadline_exceeded", ()
-    if isinstance(exc, RetriesExhaustedError):
-        return 503, "retries_exhausted", (("Retry-After", "1"),)
     if isinstance(exc, ServiceSaturatedError):
         return 429, "saturated", (("Retry-After", "1"),)
     if isinstance(exc, ServiceClosedError):

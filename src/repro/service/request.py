@@ -73,10 +73,9 @@ class AnonymizationRequest:
             ``mode="delta"``: the store commits a mutation at most once
             per token, so re-submitting the same delta with the same
             token after a crash (or timeout of unknown outcome) cannot
-            double-apply it.  Omitted, the service generates one per
-            request -- its own transparent retries stay idempotent, but
-            a *re-submitted* request counts as a new delta.  Must be
-            unique per logical delta.
+            double-apply it.  Omitted, the delta is applied without a
+            token: nothing is recorded, and a *re-submitted* request
+            counts as a new delta.  Must be unique per logical delta.
     """
 
     source: Union[TransactionDataset, PathLike, Any] = None

@@ -41,9 +41,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import uuid
 from concurrent.futures import CancelledError, Future
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from itertools import chain, islice
 from pathlib import Path
@@ -58,9 +56,7 @@ from repro.core.vocab import Vocabulary
 from repro.datasets.io import iter_records
 from repro.exceptions import (
     DeadlineExceededError,
-    FaultInjected,
     ParameterError,
-    RetriesExhaustedError,
     ServiceClosedError,
     ServiceSaturatedError,
 )
@@ -83,23 +79,6 @@ _ENGINE_IDENTITY_FIELDS = ("backend", "jobs", "kernels")
 _REQUEST_FIELDS = tuple(
     spec.name for spec in fields(AnonymizationRequest) if spec.name != "source"
 )
-
-
-class _EngineLease:
-    """The engine one executing request holds, swappable mid-request.
-
-    A request checks an engine out of the idle pool for its whole
-    execution.  When that engine's worker-process pool crashes
-    (``BrokenProcessPool``), the service rebuilds the engine *during* the
-    request -- the lease then points at the replacement, and it is the
-    replacement (never the crashed engine) that goes back to the idle pool
-    in the caller's ``finally``.
-    """
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine: Disassociator):
-        self.engine = engine
 
 
 class Job:
@@ -219,8 +198,6 @@ class AnonymizationService:
             )
             for _ in range(self.config.workers)
         ]
-        #: The first engine, kept as an attribute for introspection/tests.
-        self._engine = self._engines[0]
         #: Idle engines, checked out per executing request.  LIFO: reuse
         #: the most recently warmed engine while traffic is light.
         self._idle: "queue.LifoQueue" = queue.LifoQueue()
@@ -353,13 +330,11 @@ class AnonymizationService:
         busy).
         """
         request = self._coerce(request, kwargs)
-        lease = _EngineLease(self._checkout_engine())
+        engine = self._checkout_engine()
         try:
-            return self._execute(request, lease, worker="caller")
+            return self._execute(request, engine, worker="caller")
         finally:
-            # The lease may point at a rebuilt engine by now; that (healthy)
-            # engine is what rejoins the pool.
-            self._idle.put(lease.engine)
+            self._idle.put(engine)
 
     def query(self, op: str, params: Optional[dict] = None) -> dict:
         """Run one analytics query against the configured publication store.
@@ -517,223 +492,98 @@ class AnonymizationService:
                     self._metrics.job_cancelled()
                     continue
                 queue_wait = time.monotonic() - item._enqueued_at
-                lease = _EngineLease(self._idle.get())
+                engine = self._idle.get()
                 try:
-                    try:
-                        result = self._execute(
-                            item.request, lease, worker=name, queue_wait=queue_wait
-                        )
-                    except BaseException as exc:
-                        item._future.set_exception(exc)
-                    else:
-                        item._future.set_result(result)
+                    result = self._execute(
+                        item.request, engine, worker=name, queue_wait=queue_wait
+                    )
+                except BaseException as exc:
+                    item._future.set_exception(exc)
+                else:
+                    item._future.set_result(result)
                 finally:
-                    # A crashed engine was already replaced on the lease;
-                    # only healthy engines rejoin the pool.
-                    self._idle.put(lease.engine)
+                    self._idle.put(engine)
             finally:
                 self._queue.task_done()
 
     def _execute(
         self,
         request: AnonymizationRequest,
-        lease: _EngineLease,
+        engine: Disassociator,
         *,
         worker: str,
         queue_wait: Optional[float] = None,
     ) -> PublicationResult:
+        """Execute the request once under its deadline; failures propagate.
+
+        The deadline is anchored at *enqueue* time (queue wait spends
+        budget), enforced here at dequeue and then cooperatively at every
+        pipeline phase boundary through the ambient
+        :mod:`repro.core.deadline` scope.  A failed request raises its
+        typed error and is not re-executed; a client that wants a delta
+        applied exactly once re-sends it with the same ``delta_id``.
+        """
         config = self.config
         if request.overrides:
             config = config.with_overrides(**request.overrides)
         self._metrics.request_started()
         start = time.perf_counter()
-        # One idempotency token per *request* (not per attempt): a delta
-        # whose mutation committed before a transient crash is not
-        # re-applied by the retry -- the store recognizes the token and the
-        # retry only finishes windows and publication.  A client-supplied
-        # delta_id extends the same guarantee across request boundaries
-        # (crash recovery, at-most-once re-submission).
-        state: dict = {
-            "mode": None,
-            "report": None,
-            "delta_id": request.delta_id or uuid.uuid4().hex,
-        }
-        error = True
+        result = None
         try:
-            result = self._execute_with_retry(
-                request, config, lease, queue_wait=queue_wait, state=state
+            budget = (
+                request.deadline
+                if request.deadline is not None
+                else config.default_deadline
             )
-            error = False
+            request_deadline = None
+            if budget is not None:
+                anchor = time.monotonic() - (queue_wait or 0.0)
+                request_deadline = deadline_mod.Deadline(budget, anchor=anchor)
+                # Enforced at dequeue: a job that already overstayed its
+                # budget in the queue fails immediately instead of burning
+                # a worker.
+                request_deadline.check("service.dequeue")
+            faults.check("service.execute")
+            with deadline_mod.scope(request_deadline):
+                result = self._dispatch(request, config, engine)
             return result
         except DeadlineExceededError:
             self._metrics.deadline_exceeded()
             raise
         finally:
-            report = state["report"]
             self._metrics.request_finished(
                 seconds=time.perf_counter() - start,
-                mode=state["mode"],
-                error=error,
+                mode=None if result is None else result.mode,
+                error=result is None,
                 queue_wait=queue_wait,
                 worker=worker,
-                phase_timings=report.phase_timings() if report is not None else None,
+                phase_timings=(
+                    None if result is None else result.report.phase_timings()
+                ),
             )
 
-    def _execute_with_retry(
+    def _dispatch(
         self,
         request: AnonymizationRequest,
         config: ServiceConfig,
-        lease: _EngineLease,
-        *,
-        queue_wait: Optional[float],
-        state: dict,
+        engine: Disassociator,
     ) -> PublicationResult:
-        """Run the request under its deadline and the service retry policy.
-
-        The deadline is anchored at *enqueue* time (queue wait spends
-        budget), enforced here at dequeue and then cooperatively at every
-        pipeline phase boundary through the ambient
-        :mod:`repro.core.deadline` scope.  Transient failures -- a crashed
-        worker-process pool (the engine is rebuilt on the lease first) or
-        an injected transient fault -- are retried with exponential
-        backoff, but only when the request's source can be re-read from
-        scratch (a file path or an in-memory dataset; a half-consumed
-        iterable cannot be safely replayed).  The final transient failure
-        surfaces as :class:`RetriesExhaustedError` with the cause chained.
-        """
-        policy = config.retry
-        budget = (
-            request.deadline
-            if request.deadline is not None
-            else config.default_deadline
-        )
-        request_deadline = None
-        if budget is not None:
-            anchor = time.monotonic() - (queue_wait or 0.0)
-            request_deadline = deadline_mod.Deadline(budget, anchor=anchor)
-            # Enforced at dequeue: a job that already overstayed its budget
-            # in the queue fails immediately instead of burning a worker.
-            request_deadline.check("service.dequeue")
-        failed_attempts = 0
-        while True:
-            try:
-                faults.check("service.execute")
-                with deadline_mod.scope(request_deadline):
-                    return self._execute_once(request, config, lease, state)
-            except (BrokenProcessPool, FaultInjected) as exc:
-                if isinstance(exc, BrokenProcessPool):
-                    # Never park a crashed engine back in the pool: replace
-                    # it on the lease before deciding whether to retry.
-                    self._rebuild_engine(lease)
-                failed_attempts += 1
-                if not self._transient(exc) or not self._replayable(request):
-                    raise
-                if failed_attempts >= policy.attempts:
-                    self._metrics.retries_exhausted()
-                    raise RetriesExhaustedError(
-                        f"request failed transiently {failed_attempts} time(s); "
-                        f"retry policy allows {policy.attempts} attempt(s) "
-                        f"({exc})",
-                        attempts=failed_attempts,
-                    ) from exc
-                delay = policy.delay(failed_attempts)
-                if request_deadline is not None:
-                    # Sleeping past the deadline would turn a retryable
-                    # blip into a guaranteed deadline failure; expire now
-                    # if no budget is left for another attempt.
-                    request_deadline.check("service.retry")
-                    delay = min(delay, max(request_deadline.remaining(), 0.0))
-                self._metrics.request_retried()
-                if delay > 0:
-                    time.sleep(delay)
-
-    def _execute_once(
-        self,
-        request: AnonymizationRequest,
-        config: ServiceConfig,
-        lease: _EngineLease,
-        state: dict,
-    ) -> PublicationResult:
-        """One routing + execution attempt (state carries mode/report out)."""
-        state["mode"], state["report"] = None, None
+        """Route the request to the delta, batch or streaming path and run it."""
         if request.mode == "delta":
-            state["mode"] = "delta"
-            published, report = self._run_delta(request, config, lease.engine, state)
-            state["report"] = report
+            published, report = self._run_delta(request, config, engine)
             return PublicationResult(
                 published, report, "delta", config, tag=request.tag
             )
         mode, stream_source, dataset = self._route(request, config)
-        state["mode"] = mode
         if mode == "batch":
-            published, report = self._run_batch(dataset, config, lease.engine)
-            state["report"] = report
+            published, report = self._run_batch(dataset, config, engine)
             return PublicationResult(
                 published, report, "batch", config, original=dataset, tag=request.tag
             )
         published, report = self._run_stream(
-            stream_source, config, lease.engine, resume=request.resume
+            stream_source, config, engine, resume=request.resume
         )
-        state["report"] = report
         return PublicationResult(published, report, "stream", config, tag=request.tag)
-
-    @staticmethod
-    def _transient(exc: BaseException) -> bool:
-        """Whether a failure is worth retrying on a healthy engine."""
-        if isinstance(exc, BrokenProcessPool):
-            return True
-        if isinstance(exc, FaultInjected):
-            return exc.transient
-        return False
-
-    @staticmethod
-    def _replayable(request: AnonymizationRequest) -> bool:
-        """Whether the request's input can be re-read for a retry.
-
-        Paths are re-opened, and datasets and in-memory sequences (e.g.
-        the record lists the HTTP front door posts) re-iterated from
-        scratch; a plain one-shot iterable may already be partially
-        consumed by the failed attempt, so replaying it would silently
-        anonymize a truncated stream.  A delta request must replay both
-        its append source and its delete list (``None`` -- an empty side
-        of the delta -- is trivially replayable).
-        """
-
-        def safe(value) -> bool:
-            return value is None or isinstance(
-                value, (str, Path, TransactionDataset, list, tuple)
-            )
-
-        return safe(request.source) and safe(request.delete)
-
-    def _rebuild_engine(self, lease: _EngineLease) -> None:
-        """Replace the lease's crashed engine with a fresh warm one.
-
-        The crashed engine is closed best-effort (its pool may already be
-        gone), a replacement sharing the service vocabulary takes its slot
-        in the engine list, and the lease is repointed -- so whatever the
-        request's outcome, the idle pool only ever gets healthy engines
-        back.
-        """
-        crashed = lease.engine
-        try:
-            crashed.close()
-        except Exception:  # already half-dead; nothing useful to do
-            pass
-        fresh = Disassociator(
-            self.config.engine_params(kernels=self.kernels),
-            keep_pool=True,
-            vocabulary=self._vocabulary,
-        )
-        with self._state_lock:
-            for index, engine in enumerate(self._engines):
-                if engine is crashed:
-                    self._engines[index] = fresh
-                    break
-            if self._engine is crashed:
-                self._engine = fresh
-        lease.engine = fresh
-        self._metrics.engine_rebuilt()
 
     def _route(self, request: AnonymizationRequest, config: ServiceConfig):
         """Decide batch vs stream; returns ``(mode, stream_source, dataset)``.
@@ -774,12 +624,11 @@ class AnonymizationService:
         # resolved value, so they never silently defeat warm reuse.
         return config.engine_params(kernels=kernels.resolve(config.kernels))
 
+    @staticmethod
     def _warm_engine_for(
-        self, params: AnonymizationParams, engine: Optional[Disassociator] = None
+        params: AnonymizationParams, engine: Disassociator
     ) -> Optional[Disassociator]:
-        """The warm engine, when ``params`` can reuse its pool/kernel state."""
-        if engine is None:
-            engine = self._engine
+        """``engine``, when ``params`` can reuse its pool/kernel state."""
         for field_name in _ENGINE_IDENTITY_FIELDS:
             if getattr(params, field_name) != getattr(engine.params, field_name):
                 return None
@@ -824,7 +673,6 @@ class AnonymizationService:
         request: AnonymizationRequest,
         config: ServiceConfig,
         engine: Disassociator,
-        state: dict,
     ):
         """Apply the request as one delta of the persistent shard store.
 
@@ -832,9 +680,8 @@ class AnonymizationService:
         ``request.delete``; both accept the same shapes as any request
         source.  The recomputed windows run on the service's warm engine
         whenever the merged config can reuse it, exactly like streamed
-        requests, and the request-scoped ``delta_id`` makes transparent
-        retries of a transiently failed delta apply the mutation at most
-        once.
+        requests.  The client's ``delta_id`` (if any) goes to the store
+        unchanged: a re-sent delta with the same token is applied once.
         """
         params = self._engine_params(config)
         pipeline = IncrementalPipeline(
@@ -845,7 +692,7 @@ class AnonymizationService:
         published = pipeline.run(
             append=self._delta_records(request.source, request),
             delete=self._delta_records(request.delete, request),
-            delta_id=state["delta_id"],
+            delta_id=request.delta_id,
         )
         return published, pipeline.last_report
 

@@ -55,7 +55,6 @@ from repro.stream.executor import (
     ShardedPipeline,
     ShardedReport,
     StreamParams,
-    anonymize_stream,
     relabel_cluster,
 )
 from repro.stream.planner import (
@@ -91,7 +90,6 @@ __all__ = [
     "ShardedPipeline",
     "ShardedReport",
     "StreamParams",
-    "anonymize_stream",
     "build_planner",
     "demote_terms",
     "load_shard_snapshot",

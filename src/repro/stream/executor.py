@@ -734,45 +734,3 @@ def relabel_cluster(cluster: Cluster, prefix: str) -> Cluster:
         label=f"{prefix}{cluster.label}",
         original_records=cluster.original_records,
     )
-
-
-def anonymize_stream(
-    source: Union[PathLike, TransactionDataset, Iterable[Iterable]],
-    k: int = 5,
-    m: int = 2,
-    shards: int = DEFAULT_SHARDS,
-    max_records_in_memory: int = DEFAULT_MAX_RECORDS_IN_MEMORY,
-    strategy: str = "hash",
-    **engine_params,
-) -> DisassociatedDataset:
-    """Functional one-call interface to the sharded streaming pipeline.
-
-    ``source`` may be a dataset file path (format sniffed from the
-    extension), a :class:`TransactionDataset` or any iterable of records.
-    Extra keyword arguments go to :class:`AnonymizationParams`.
-
-    .. deprecated:: 1.1
-        Compatibility shim over :class:`repro.service.AnonymizationService`
-        (a ``mode="stream"`` request); output is bit-for-bit identical.
-    """
-    import warnings
-
-    warnings.warn(
-        "anonymize_stream() is a one-shot compatibility shim; use "
-        "repro.service.AnonymizationService with a mode='stream' request",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Imported lazily: the service layer builds on this module.
-    from repro.service import AnonymizationRequest, AnonymizationService, ServiceConfig
-
-    config = ServiceConfig(
-        k=k,
-        m=m,
-        shards=shards,
-        max_records_in_memory=max_records_in_memory,
-        shard_strategy=strategy,
-        **engine_params,
-    )
-    with AnonymizationService(config) as service:
-        return service.run(AnonymizationRequest(source, mode="stream")).publication

@@ -815,9 +815,9 @@ class IncrementalPipeline:
         straight from the stored publication.
 
         ``delta_id`` is an optional idempotency token: a mutation is
-        committed at most once per token, so the service layer (or an
-        operator re-running a crashed CLI delta with ``--delta-id``) can
-        retry a failed delta without double-applying it -- the retry
+        committed at most once per token, so a client re-sending a failed
+        service delta (or an operator re-running a crashed CLI delta with
+        ``--delta-id``) can retry it without double-applying it -- the retry
         skips the (already durable) mutation and finishes the window
         reconciliation and publication instead.  Tokens must be unique
         per logical delta: replaying a known token with *different*

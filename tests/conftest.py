@@ -110,6 +110,11 @@ def make_uniform_dataset(num_records: int, domain: int, record_length: int, seed
     return TransactionDataset(records)
 
 
+def publish(dataset, **params):
+    """Disassociate ``dataset`` in one engine pass under ``params``."""
+    return Disassociator(AnonymizationParams(**params)).anonymize(dataset)
+
+
 # --------------------------------------------------------------------------- #
 # the paper-shaped synthetic workloads shared by the resilience, kernel
 # and incremental suites

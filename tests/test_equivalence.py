@@ -14,13 +14,13 @@ import random
 import pytest
 
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import AnonymizationParams, Disassociator, anonymize
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.horizontal import horizontal_partition, horizontal_partition_indices
 from repro.core.refine import refine
 from repro.core.verification import verify_km_anonymity
 from repro.core.vertical import vertical_partition, vertical_partition_fast
 from repro.core.vocab import EncodedDataset
-from tests.conftest import PAPER_RECORDS
+from tests.conftest import PAPER_RECORDS, publish
 
 
 def make_seeded_dataset(seed: int, num_records: int = 400) -> TransactionDataset:
@@ -78,24 +78,24 @@ class TestPipelineEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_backends_publish_identical_datasets(self, seed):
         dataset = make_seeded_dataset(seed)
-        string_pub = anonymize(dataset, k=4, m=2, max_cluster_size=25, backend="string")
-        encoded_pub = anonymize(dataset, k=4, m=2, max_cluster_size=25, backend="encoded")
+        string_pub = publish(dataset, k=4, m=2, max_cluster_size=25, backend="string")
+        encoded_pub = publish(dataset, k=4, m=2, max_cluster_size=25, backend="encoded")
         assert string_pub.to_dict() == encoded_pub.to_dict()
         verify_km_anonymity(encoded_pub)
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_jobs_fanout_is_deterministic(self, jobs):
         dataset = make_seeded_dataset(7, num_records=500)
-        serial = anonymize(dataset, backend="string", verify=False)
-        parallel = anonymize(dataset, backend="encoded", jobs=jobs, verify=False)
+        serial = publish(dataset, backend="string", verify=False)
+        parallel = publish(dataset, backend="encoded", jobs=jobs, verify=False)
         assert serial.to_dict() == parallel.to_dict()
         verify_km_anonymity(parallel)
 
     def test_paper_dataset_equivalence_with_sensitive_terms(self):
         dataset = TransactionDataset(PAPER_RECORDS)
         kwargs = dict(k=3, m=2, max_cluster_size=6, sensitive_terms={"viagra"})
-        string_pub = anonymize(dataset, backend="string", **kwargs)
-        encoded_pub = anonymize(dataset, backend="encoded", **kwargs)
+        string_pub = publish(dataset, backend="string", **kwargs)
+        encoded_pub = publish(dataset, backend="encoded", **kwargs)
         assert string_pub.to_dict() == encoded_pub.to_dict()
 
     def test_default_backend_is_encoded(self):

@@ -43,7 +43,6 @@ class TestFaultPlan:
             plan.check("p")
         assert excinfo.value.point == "p"
         assert excinfo.value.hit == 3
-        assert excinfo.value.transient is True
         # the trigger is Nth-hit, not every-hit-from-N: later arrivals pass
         plan.check("p")
         assert plan.hits("p") == 4
@@ -53,12 +52,6 @@ class TestFaultPlan:
         plan.check("q")  # no trigger, no counter bump requirement
         with pytest.raises(FaultInjected):
             plan.check("p")
-
-    def test_non_transient_flag_carries(self):
-        plan = faults.FaultPlan([faults.FaultSpec("p", hit=1, transient=False)])
-        with pytest.raises(FaultInjected) as excinfo:
-            plan.check("p")
-        assert excinfo.value.transient is False
 
     def test_probability_is_deterministic_per_seed(self):
         def fire_pattern(seed):

@@ -18,21 +18,25 @@ which makes it an ideal fuzz target:
   that re-running the *same* delta -- same ``delta_id`` -- converges to
   the oracle regardless of where the first attempt died (mutation
   committed or not);
-* :class:`TestServiceDeltaRetry` checks the service layer's transparent
-  retry does the same without double-applying the mutation.
+* :class:`TestServiceDeltaResend` checks the client-side half of that
+  contract: the service fails a crashed delta once, and the client's
+  resend with the same ``delta_id`` -- through the library or HTTP --
+  applies the mutation exactly once.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro import faults
 from repro.core.engine import AnonymizationParams
 from repro.exceptions import FaultInjected
-from repro.service import AnonymizationService, ServiceConfig
+from repro.service import AnonymizationService, ServiceConfig, ServiceHTTPServer
 from repro.stream import IncrementalPipeline, ShardedPipeline, StreamParams
 from tests.conftest import make_workload
 
@@ -247,13 +251,17 @@ class TestCrashResume:
         assert pipeline.last_report.windows_recomputed == 0
 
 
-class TestServiceDeltaRetry:
-    def test_transient_fault_retried_without_double_apply(self, tmp_path):
-        """The service retry of a crashed delta applies the mutation once."""
-        records = [
-            frozenset({f"t{i}", f"t{i + 1}", f"t{(i * 3) % 17}"}) for i in range(120)
-        ]
-        config = ServiceConfig(
+class TestServiceDeltaResend:
+    """A crashed service delta fails once; the client resends its delta_id."""
+
+    BASE = [
+        frozenset({f"t{i}", f"t{i + 1}", f"t{(i * 3) % 17}"}) for i in range(120)
+    ]
+    APPENDS = [frozenset({"svc-a", "svc-b", f"svc-{i}"}) for i in range(5)]
+
+    @staticmethod
+    def _config(tmp_path) -> ServiceConfig:
+        return ServiceConfig(
             k=3,
             m=2,
             max_cluster_size=12,
@@ -261,16 +269,70 @@ class TestServiceDeltaRetry:
             max_records_in_memory=100,
             store_dir=str(tmp_path / "store"),
         )
-        with AnonymizationService(config) as service:
-            service.run(records, mode="delta")
-            appends = [frozenset({"svc-a", "svc-b", f"svc-{i}"}) for i in range(5)]
-            # The fault fires inside the first execution attempt's window
-            # recompute -- after the mutation committed -- so the retry
-            # must skip the mutation and still finish the publication.
-            plan = faults.FaultPlan([faults.FaultSpec("stream.window", hit=1)])
+
+    @staticmethod
+    def _window_fault() -> faults.FaultPlan:
+        # The first window recompute runs after the delta's mutation has
+        # committed, so the failed request leaves the appends durable.
+        return faults.FaultPlan([faults.FaultSpec("stream.window", hit=1)])
+
+    def test_resend_through_service_applies_once(self, tmp_path):
+        with AnonymizationService(self._config(tmp_path)) as service:
+            service.run(self.BASE, mode="delta")
+            plan = self._window_fault()
             with faults.active(plan):
-                result = service.run(appends, mode="delta")
-        mutated = records + appends
+                with pytest.raises(FaultInjected):
+                    service.run(self.APPENDS, mode="delta", delta_id="svc-1")
+            assert plan.hits("stream.window") == 1
+            result = service.run(self.APPENDS, mode="delta", delta_id="svc-1")
+        mutated = self.BASE + self.APPENDS
         assert _canonical(result.publication) == _canonical(_cold(mutated))
         assert result.report.num_records == len(mutated)
-        assert result.mode == "delta"
+        assert result.report.delta_replayed
+        assert result.report.appended == 0
+
+    def test_failed_tokenless_delta_heals_on_the_next_run(self, tmp_path):
+        """Without a delta_id, an empty delta finishes the durable appends."""
+        with AnonymizationService(self._config(tmp_path)) as service:
+            service.run(self.BASE, mode="delta")
+            with faults.active(self._window_fault()):
+                with pytest.raises(FaultInjected):
+                    service.run(self.APPENDS, mode="delta")
+            healed = service.run(None, mode="delta")
+        mutated = self.BASE + self.APPENDS
+        assert _canonical(healed.publication) == _canonical(_cold(mutated))
+        assert healed.report.num_records == len(mutated)
+
+    def test_resend_through_http_applies_once(self, tmp_path):
+        def post(url, body):
+            request = urllib.request.Request(
+                url + "/anonymize",
+                data=json.dumps(body).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            try:
+                with urllib.request.urlopen(request, timeout=60) as response:
+                    return response.status, json.loads(response.read())
+            except urllib.error.HTTPError as error:
+                return error.code, json.loads(error.read())
+
+        base = [sorted(record) for record in self.BASE]
+        appends = [sorted(record) for record in self.APPENDS]
+        body = {"mode": "delta", "records": appends, "delta_id": "http-1"}
+        server = ServiceHTTPServer(
+            AnonymizationService(self._config(tmp_path)), port=0
+        ).start()
+        try:
+            status, _ = post(server.url, {"mode": "delta", "records": base})
+            assert status == 200
+            with faults.active(self._window_fault()):
+                status, failed = post(server.url, body)
+            assert (status, failed["kind"]) == (500, "internal")
+            status, resent = post(server.url, body)
+            assert status == 200
+        finally:
+            server.close()
+        mutated = self.BASE + self.APPENDS
+        assert json.dumps(resent["publication"], sort_keys=True) == _canonical(
+            _cold(mutated)
+        )

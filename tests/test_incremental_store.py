@@ -470,6 +470,76 @@ class TestIdempotencyTokens:
         assert _canonical(first.publication) == oracle
         assert _canonical(again.publication) == oracle
 
+    def test_tokenless_service_deltas_record_no_tokens(self, tmp_path):
+        """A delta sent without a delta_id leaves no idempotency row.
+
+        No client can ever resend a token it never had, so recording one
+        per token-less delta would only grow ``applied_deltas`` forever.
+        """
+        config = ServiceConfig(
+            k=3,
+            m=2,
+            max_cluster_size=12,
+            shards=3,
+            max_records_in_memory=100,
+            store_dir=str(tmp_path / "store"),
+        )
+        deltas = [RECORDS[start:start + 20] for start in range(0, 80, 20)]
+        with AnonymizationService(config) as service:
+            for records in deltas:
+                result = service.run(records, mode="delta")
+        assert _canonical(result.publication) == _canonical(_cold(RECORDS[:80]))
+        with ShardStore(tmp_path / "store") as store:
+            rows = store._db.execute("SELECT COUNT(*) FROM applied_deltas").fetchone()
+            assert rows[0] == 0
+            assert store.applied_delta is None
+            assert store.generation == len(deltas)
+
+    def test_tokenless_http_deltas_record_no_tokens(self, tmp_path):
+        import urllib.request
+
+        config = ServiceConfig(
+            k=3,
+            m=2,
+            max_cluster_size=12,
+            shards=3,
+            max_records_in_memory=100,
+            store_dir=str(tmp_path / "store"),
+        )
+        server = ServiceHTTPServer(AnonymizationService(config), port=0).start()
+        try:
+            for start in range(0, 60, 20):
+                records = [sorted(r) for r in RECORDS[start:start + 20]]
+                request = urllib.request.Request(
+                    server.url + "/anonymize",
+                    data=json.dumps({"mode": "delta", "records": records}).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                with urllib.request.urlopen(request) as response:
+                    assert response.status == 200
+        finally:
+            server.close()
+        with ShardStore(tmp_path / "store") as store:
+            rows = store._db.execute("SELECT COUNT(*) FROM applied_deltas").fetchone()
+            assert rows[0] == 0
+            assert store.num_records() == 60
+
+    def test_tokenless_resend_is_a_new_delta(self, tmp_path):
+        """Only a delta_id makes a resend idempotent; without one it re-applies."""
+        config = ServiceConfig(
+            k=3,
+            m=2,
+            max_cluster_size=12,
+            shards=3,
+            max_records_in_memory=100,
+            store_dir=str(tmp_path / "store"),
+        )
+        with AnonymizationService(config) as service:
+            service.run(RECORDS[:50], mode="delta")
+            again = service.run(RECORDS[:50], mode="delta")
+        assert again.report.appended == 50
+        assert _canonical(again.publication) == _canonical(_cold(RECORDS[:50] * 2))
+
     def test_http_delta_id_resubmission(self, tmp_path):
         import urllib.error
         import urllib.request

@@ -111,7 +111,7 @@ class TestVerticalParity:
     def test_pool_fan_out_matches_serial(self):
         partitions = _partitions(2)
         with ProcessPoolExecutor(max_workers=2) as pool:
-            fanned = _parallel_vertical(partitions, 3, 2, pool)
+            fanned = _parallel_vertical(partitions, 3, 2, pool, 2)
         assert fanned is not None
         assert [result.cluster.to_dict() for result in fanned] == _verpart(
             partitions, 3, 2

@@ -10,8 +10,7 @@ Covers the :mod:`repro.service` facade end to end:
   wrap, including warm back-to-back runs sharing one vocabulary;
 * concurrent ``submit()`` determinism against sequential ``run()``;
 * engine and service lifecycle (double close, reuse after close, drain);
-* the deprecation shims (``anonymize`` / ``anonymize_stream``) emitting
-  warnings while producing identical publications.
+* the CLI's ``anonymize`` command publishing the engine's bytes.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from repro import (
     ShardedPipeline,
     StreamParams,
     TransactionDataset,
-    anonymize,
-    anonymize_stream,
 )
 from repro.core.engine import AnonymizationReport
 from repro.datasets.io import write_jsonl
@@ -110,9 +107,19 @@ class TestServiceConfig:
         assert payload["sensitive_terms"] == ["flu", "viagra"]
         assert ServiceConfig.from_dict(payload) == config
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ParameterError, match="unknown ServiceConfig keys: kk"):
-            ServiceConfig.from_dict({"kk": 5})
+    @pytest.mark.parametrize(
+        "payload,unknown",
+        [
+            ({"kk": 5}, "kk"),
+            # A stale setting of a removed knob fails instead of being ignored.
+            ({"retry": "attempts=3,backoff=0.1"}, "retry"),
+        ],
+    )
+    def test_from_dict_rejects_unknown_keys(self, payload, unknown):
+        with pytest.raises(
+            ParameterError, match=f"unknown ServiceConfig keys: {unknown}"
+        ):
+            ServiceConfig.from_dict(payload)
 
     def test_from_env_round_trip(self):
         config = ServiceConfig(
@@ -166,9 +173,17 @@ class TestServiceConfig:
         with pytest.raises(ParameterError, match="REPRO_SERVICE_"):
             ServiceConfig.from_env(environ)
 
-    def test_from_env_rejects_misspelled_prefixed_variables(self):
-        with pytest.raises(ParameterError, match="max_clustersize"):
-            ServiceConfig.from_env({"REPRO_SERVICE_MAX_CLUSTERSIZE": "50"})
+    @pytest.mark.parametrize(
+        "variable,unknown",
+        [
+            ("REPRO_SERVICE_MAX_CLUSTERSIZE", "max_clustersize"),
+            # A stale setting of a removed knob fails instead of being ignored.
+            ("REPRO_SERVICE_RETRY", "retry"),
+        ],
+    )
+    def test_from_env_rejects_misspelled_prefixed_variables(self, variable, unknown):
+        with pytest.raises(ParameterError, match=f"environment variables.*: {unknown}"):
+            ServiceConfig.from_env({variable: "50"})
 
     def test_stream_threshold_defaults_to_memory_bound(self):
         assert ServiceConfig(max_records_in_memory=77).stream_threshold == 77
@@ -333,9 +348,10 @@ class TestEquivalence:
             ROUTING_CONFIG.with_overrides(kernels="auto")
         ) as service:
             params = service._engine_params(service.config)
-            assert service._warm_engine_for(params) is service._engine
+            engine = service._engines[0]
+            assert service._warm_engine_for(params, engine) is engine
             service.run(quest(30), mode="batch")
-            assert service._warm_engine_for(params) is service._engine
+            assert service._warm_engine_for(params, engine) is engine
 
     def test_per_request_k_override(self):
         dataset = quest(120)
@@ -499,35 +515,6 @@ class TestEngineLifecycle:
         with pytest.raises(EngineClosedError):
             engine.close()
 
-    def test_broken_pool_is_released_for_the_next_call(self, paper_dataset):
-        from concurrent.futures.process import BrokenProcessPool
-
-        engine = Disassociator(
-            AnonymizationParams(k=3, m=2, max_cluster_size=6), keep_pool=True
-        )
-
-        class _DeadPool:
-            shut_down = False
-
-            def shutdown(self, *args, **kwargs):
-                self.shut_down = True
-
-        dead_pool = _DeadPool()
-        engine._pool = dead_pool
-
-        def broken_pipeline():
-            raise BrokenProcessPool("worker died")
-
-        engine.build_pipeline = broken_pipeline  # type: ignore[method-assign]
-        with pytest.raises(BrokenProcessPool):
-            engine.anonymize(paper_dataset)
-        # The poisoned executor is gone; a later call respawns from scratch.
-        assert dead_pool.shut_down
-        assert engine._pool is None
-        del engine.build_pipeline
-        assert engine.anonymize(paper_dataset) is not None
-        engine.close()
-
     def test_killed_worker_pool_is_replaced(self, paper_dataset, monkeypatch):
         # A keep_pool engine (the service's shape) whose worker is SIGKILLed
         # must finish the next call serially and drop the dead executor, so
@@ -617,42 +604,15 @@ class TestServiceLifecycle:
 
     def test_service_closes_its_engine(self):
         service = AnonymizationService(ROUTING_CONFIG)
-        engine = service._engine
+        engine = service._engines[0]
         service.close()
         assert engine.closed
 
 
 # --------------------------------------------------------------------------- #
-# deprecation shims
+# CLI
 # --------------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_anonymize_warns_and_matches_engine(self, paper_dataset):
-        params = AnonymizationParams(k=3, m=2, max_cluster_size=6)
-        expected = Disassociator(params).anonymize(paper_dataset)
-        with pytest.warns(DeprecationWarning, match="compatibility shim"):
-            published = anonymize(paper_dataset, k=3, m=2, max_cluster_size=6)
-        assert published.to_dict() == expected.to_dict()
-
-    def test_anonymize_stream_warns_and_matches_pipeline(self):
-        dataset = quest(150)
-        params = AnonymizationParams(k=3, max_cluster_size=12)
-        stream = StreamParams(shards=2, max_records_in_memory=60)
-        expected = ShardedPipeline(params, stream).anonymize(dataset)
-        with pytest.warns(DeprecationWarning, match="compatibility shim"):
-            published = anonymize_stream(
-                dataset,
-                k=3,
-                max_cluster_size=12,
-                shards=2,
-                max_records_in_memory=60,
-            )
-        assert published.to_dict() == expected.to_dict()
-
-    def test_shim_parameter_validation_unchanged(self, paper_dataset):
-        with pytest.raises(ParameterError):
-            with pytest.warns(DeprecationWarning):
-                anonymize(paper_dataset, k=0)
-
+class TestCli:
     def test_cli_anonymize_matches_direct_engine(self, tmp_path):
         from repro.cli import main
         from repro.datasets.io import read_disassociated_json, write_transactions

@@ -1,4 +1,4 @@
-"""Service-hardening tests: deadlines, bounded retry, engine replacement.
+"""Service-hardening tests: deadlines and the one-attempt failure contract.
 
 The contract under test, per the operations runbook (docs/OPERATIONS.md):
 
@@ -7,14 +7,10 @@ The contract under test, per the operations runbook (docs/OPERATIONS.md):
   every pipeline phase boundary, and surfaces as
   :class:`DeadlineExceededError` (HTTP ``504``, kind
   ``deadline_exceeded``), counted once in ``stats()["failures"]``;
-* **transient failures** (a crashed worker-process pool, injected
-  transient faults) are retried under the config's :class:`RetryPolicy`
-  with exponential backoff, but only for replayable sources; the last
-  failure surfaces as :class:`RetriesExhaustedError` (HTTP ``503`` +
-  ``Retry-After``, kind ``retries_exhausted``);
-* a :class:`BrokenProcessPool` **replaces the crashed engine** before it
-  could ever rejoin the idle pool, so the request after a crash runs on a
-  healthy engine (the PR's pool-poisoning regression);
+* every request **executes once**: a failure (here an injected
+  ``service.execute`` fault) fails the request on every entry path --
+  ``run()``, a ``submit()`` job, a sync ``POST /anonymize`` (``500``,
+  kind ``internal``) and an async job -- without a second execution;
 * every HTTP error body carries a machine-readable ``kind`` and oversized
   bodies answer ``413`` under a configurable cap.
 """
@@ -25,26 +21,15 @@ import json
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro import faults
 from repro.datasets.quest import generate_quest
-from repro.exceptions import (
-    DeadlineExceededError,
-    FaultInjected,
-    ParameterError,
-    RetriesExhaustedError,
-)
-from repro.service import (
-    AnonymizationService,
-    RetryPolicy,
-    ServiceConfig,
-    ServiceHTTPServer,
-)
+from repro.exceptions import DeadlineExceededError, FaultInjected, ParameterError
+from repro.service import AnonymizationService, ServiceConfig, ServiceHTTPServer
 
-CONFIG = ServiceConfig(k=3, m=2, max_cluster_size=10, retry="attempts=2,backoff=0")
+CONFIG = ServiceConfig(k=3, m=2, max_cluster_size=10)
 
 
 @pytest.fixture()
@@ -59,6 +44,11 @@ def service():
     svc = AnonymizationService(CONFIG)
     yield svc
     svc.close()
+
+
+def execute_fault() -> faults.FaultPlan:
+    """A plan failing the first request execution the service starts."""
+    return faults.FaultPlan([faults.FaultSpec("service.execute", hit=1)])
 
 
 def http(base: str, method: str, path: str, payload=None, raw=None, timeout=60):
@@ -82,28 +72,6 @@ def http(base: str, method: str, path: str, payload=None, raw=None, timeout=60):
             json.loads(error.read().decode("utf-8")),
             dict(error.headers),
         )
-
-
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ParameterError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ParameterError):
-            RetryPolicy(backoff=-1.0)
-
-    def test_backoff_schedule(self):
-        policy = RetryPolicy(attempts=5, backoff=0.1, multiplier=2.0, max_backoff=0.35)
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.35)  # capped
-
-    def test_round_trips(self):
-        policy = RetryPolicy.from_text("attempts=3,backoff=0.5")
-        assert policy.attempts == 3
-        assert RetryPolicy.from_dict(policy.to_dict()) == policy
-        assert ServiceConfig(retry="attempts=3,backoff=0.5").retry == policy
 
 
 class TestDeadlines:
@@ -136,92 +104,64 @@ class TestDeadlines:
             job.result(timeout=60)
 
 
-class TestRetries:
-    def test_transient_fault_is_retried_to_success(self, service, dataset):
-        plan = faults.FaultPlan([faults.FaultSpec("service.execute", hit=1)])
-        with faults.active(plan):
-            result = service.run(dataset)
-        assert result.publication.clusters
-        failures = service.stats()["failures"]
-        assert failures["retries"] == 1
-        assert failures["retries_exhausted"] == 0
-
-    def test_persistent_fault_exhausts_retries(self, service, dataset):
-        plan = faults.FaultPlan(
-            [faults.FaultSpec("service.execute", probability=1.0)]
-        )
-        with faults.active(plan):
-            with pytest.raises(RetriesExhaustedError) as excinfo:
-                service.run(dataset)
-        assert excinfo.value.attempts == 2
-        failures = service.stats()["failures"]
-        assert failures["retries_exhausted"] == 1
-        assert failures["retries"] == 1
-
-    def test_non_transient_fault_is_not_retried(self, service, dataset):
-        plan = faults.FaultPlan(
-            [faults.FaultSpec("service.execute", hit=1, transient=False)]
-        )
+class TestOneAttempt:
+    def test_run_fails_without_reexecution(self, service, dataset):
+        plan = execute_fault()
         with faults.active(plan):
             with pytest.raises(FaultInjected):
                 service.run(dataset)
-        assert service.stats()["failures"]["retries"] == 0
+        assert plan.hits("service.execute") == 1
 
-    def test_consumed_iterator_is_not_replayed(self, service, dataset):
-        plan = faults.FaultPlan([faults.FaultSpec("service.execute", hit=1)])
+    def test_submitted_job_fails_without_reexecution(self, service, dataset):
+        plan = execute_fault()
         with faults.active(plan):
+            job = service.submit(dataset)
             with pytest.raises(FaultInjected):
-                service.run(iter(list(dataset)), mode="stream")
-        assert service.stats()["failures"]["retries"] == 0
+                job.result(timeout=60)
+        assert job.state() == "failed"
+        assert plan.hits("service.execute") == 1
+        assert service.stats()["requests"]["failed"] == 1
 
-    def test_retry_output_matches_clean_run(self, service, dataset):
+    @pytest.mark.parametrize(
+        "point,mode",
+        [
+            ("engine.horizontal", "batch"),
+            ("engine.refine", "batch"),
+            ("engine.verify", "batch"),
+            ("stream.window", "stream"),
+            ("stream.merge", "stream"),
+        ],
+    )
+    def test_pipeline_fault_fails_request_once(self, service, dataset, point, mode):
+        plan = faults.FaultPlan([faults.FaultSpec(point, hit=1)])
+        with faults.active(plan):
+            with pytest.raises(FaultInjected) as excinfo:
+                service.run(dataset, mode=mode)
+        assert excinfo.value.point == point
+        assert plan.hits(point) == 1
+
+    def test_failed_request_metrics(self, service, dataset):
+        with faults.active(execute_fault()):
+            with pytest.raises(FaultInjected):
+                service.run(dataset)
+        stats = service.stats()
+        assert stats["requests"]["failed"] == 1
+        assert stats["requests"]["completed"] == 0
+        assert stats["requests"]["in_flight"] == 0
+        assert stats["requests"]["by_mode"] == {"batch": 0, "stream": 0}
+        assert stats["latency"]["request_seconds"]["count"] == 1
+        assert stats["phases"]["seconds"] == {}
+        assert set(stats["workers"]["busy_seconds"]) == {"caller"}
+
+    def test_failure_leaves_the_service_healthy(self, service, dataset):
         clean = service.run(dataset)
-        plan = faults.FaultPlan([faults.FaultSpec("service.execute", hit=1)])
-        with faults.active(plan):
-            retried = service.run(dataset)
-        assert json.dumps(retried.to_dict(), sort_keys=True) == json.dumps(
+        with faults.active(execute_fault()):
+            with pytest.raises(FaultInjected):
+                service.run(dataset)
+        again = service.run(dataset)
+        assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(
             clean.to_dict(), sort_keys=True
         )
-
-
-class TestEngineReplacement:
-    def test_broken_pool_rebuilds_engine(self, service, dataset, monkeypatch):
-        """The pool-poisoning regression: after a BrokenProcessPool the
-        crashed engine must never rejoin the idle pool -- the request
-        retries on a replacement and later requests keep succeeding."""
-        crashed_engines = []
-        original = AnonymizationService._execute_once
-
-        def crash_once(self, request, config, lease, state):
-            if not crashed_engines:
-                crashed_engines.append(lease.engine)
-                raise BrokenProcessPool("simulated worker-pool crash")
-            return original(self, request, config, lease, state)
-
-        monkeypatch.setattr(AnonymizationService, "_execute_once", crash_once)
-        result = service.run(dataset)
-        assert result.publication.clusters
-        failures = service.stats()["failures"]
-        assert failures["engines_rebuilt"] == 1
-        assert failures["retries"] == 1
-        # the crashed engine is gone from the pool: nothing holds it
-        assert all(engine is not crashed_engines[0] for engine in service._engines)
-        # and the service stays healthy for subsequent requests
-        assert service.run(dataset).publication.clusters
-
-    def test_broken_pool_without_retryable_source_still_rebuilds(
-        self, service, dataset, monkeypatch
-    ):
-        def always_crash(self, request, config, lease, state):
-            raise BrokenProcessPool("simulated worker-pool crash")
-
-        monkeypatch.setattr(AnonymizationService, "_execute_once", always_crash)
-        with pytest.raises(RetriesExhaustedError):
-            service.run(dataset)
-        monkeypatch.undo()
-        # both attempts crashed -> two rebuilds, and the pool is healthy
-        assert service.stats()["failures"]["engines_rebuilt"] == 2
-        assert service.run(dataset).publication.clusters
 
 
 class TestHTTPFailureContract:
@@ -247,10 +187,8 @@ class TestHTTPFailureContract:
         assert body["kind"] == "deadline_exceeded"
         assert "deadline" in body["error"]
 
-    def test_retries_exhausted_maps_to_503_with_retry_after(self, served):
-        plan = faults.FaultPlan(
-            [faults.FaultSpec("service.execute", probability=1.0)]
-        )
+    def test_sync_failure_maps_to_500_internal_once(self, served):
+        plan = execute_fault()
         with faults.active(plan):
             status, body, headers = http(
                 served.url,
@@ -258,14 +196,13 @@ class TestHTTPFailureContract:
                 "/anonymize",
                 {"records": self.RECORDS, "overrides": {"k": 2}},
             )
-        assert status == 503
-        assert body["kind"] == "retries_exhausted"
-        assert headers.get("Retry-After") == "1"
+        assert (status, body["kind"]) == (500, "internal")
+        assert "service.execute" in body["error"]
+        assert "Retry-After" not in headers
+        assert plan.hits("service.execute") == 1
 
     def test_failed_async_job_carries_kind(self, served):
-        plan = faults.FaultPlan(
-            [faults.FaultSpec("service.execute", probability=1.0)]
-        )
+        plan = execute_fault()
         with faults.active(plan):
             status, body, _ = http(
                 served.url,
@@ -281,7 +218,18 @@ class TestHTTPFailureContract:
                     break
                 time.sleep(0.02)
         assert job["state"] == "failed"
-        assert job["kind"] == "retries_exhausted"
+        assert job["kind"] == "internal"
+        assert plan.hits("service.execute") == 1
+
+    def test_service_answers_after_a_failed_request(self, served):
+        body = {"records": self.RECORDS, "overrides": {"k": 2}}
+        with faults.active(execute_fault()):
+            status, _, _ = http(served.url, "POST", "/anonymize", body)
+        assert status == 500
+        status, result, _ = http(served.url, "POST", "/anonymize", body)
+        assert status == 200 and result["publication"]
+        _, stats, _ = http(served.url, "GET", "/stats")
+        assert (stats["requests"]["failed"], stats["requests"]["completed"]) == (1, 1)
 
     def test_oversize_body_maps_to_413(self, served):
         status, body, _ = http(
@@ -308,10 +256,5 @@ class TestHTTPFailureContract:
             {"records": self.RECORDS, "deadline": 1e-9, "overrides": {"k": 2}},
         )
         _, stats, _ = http(served.url, "GET", "/stats")
-        assert stats["failures"]["deadline_exceeded"] == 1
-        assert set(stats["failures"]) == {
-            "retries",
-            "deadline_exceeded",
-            "retries_exhausted",
-            "engines_rebuilt",
-        }
+        assert stats["failures"] == {"deadline_exceeded": 1}
+        assert stats["requests"]["failed"] == 1

@@ -30,7 +30,6 @@ from repro.stream import (
     HorpartShardPlanner,
     ShardedPipeline,
     StreamParams,
-    anonymize_stream,
     build_planner,
     record_fingerprint,
     relabel_cluster,
@@ -197,14 +196,6 @@ class TestShardedPipeline:
         assert engine.StreamParams is StreamParams
         with pytest.raises(AttributeError):
             engine.NoSuchThing
-
-    def test_anonymize_stream_function(self, quest, tmp_path):
-        path = tmp_path / "quest.jsonl"
-        write_jsonl(quest, path)
-        published = anonymize_stream(
-            path, k=3, m=2, shards=3, max_records_in_memory=100, max_cluster_size=12
-        )
-        assert audit(published, k=3, m=2).ok
 
 
 class TestRelabel:
