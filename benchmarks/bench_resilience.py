@@ -1,27 +1,23 @@
-"""Cost of durability: checkpoint overhead and crash-resume speedup.
+"""Cost of durability: a shard store build and its crash recovery.
 
-Two questions an operator asks before enabling checkpointed runs:
+The persistent :class:`~repro.stream.store.ShardStore` is the one durable
+format of a sharded run, so two questions an operator asks before running
+a long job through it (``repro anonymize --store-dir``):
 
-* **What does the manifest + per-shard snapshot durability cost?**
-  Every run instruments its own durability work (manifest write,
-  record indexing, snapshot serialization + fsync) in
-  ``report.checkpoint_seconds``, so the overhead factor is computed
-  *within* a run as ``wall / (wall - checkpoint_seconds)`` -- both
-  sides of the ratio share one scheduler/thermal state, which makes the
-  estimate stable where a cross-run off-vs-on wall ratio swings with
-  machine noise far beyond the budget's headroom.  The min factor over
-  N checkpointed rounds is asserted against ``MAX_CHECKPOINT_OVERHEAD``
-  (1.15x) and recorded as ``checkpoint_overhead_ok``, which the CI perf
-  gate keeps true; uncheckpointed wall times are reported alongside as
-  corroboration.
-* **What does resuming actually save?**  A run is crashed right before
-  the merge (every shard finished and snapshotted, via the deterministic
-  fault harness), then finished twice: once with ``resume=True`` (loads
-  the snapshots, skips every shard) and once cold from scratch.  The
-  resumed publication must be bit-for-bit identical to the uninterrupted
-  one, and ``resume_faster_than_cold`` must stay true -- resuming that
-  does not beat re-running would make the whole checkpoint subsystem
-  pointless.
+* **What does durability cost?**  A fresh store build (every record
+  routed into SQLite, one committed snapshot per window, the publication
+  committed last) is timed against the plain, non-durable
+  :class:`~repro.stream.ShardedPipeline` run over the same records.  Both
+  are reported; neither is gated against the other -- the store build is
+  the price of a run that can be finished after a crash.
+* **What does recovery actually save?**  A store build is crashed right
+  before the merge (every window committed, via the deterministic fault
+  harness), then re-run with the same ``delta_id``: the committed
+  mutation is recognized, every window snapshot is reused, and only the
+  merge and the global boundary repair run again.  The recovered
+  publication must be bit-for-bit identical to the plain run's, and
+  ``resume_faster_than_cold`` must stay true -- a recovery that does not
+  beat a fresh build would make the durable path pointless.
 
 Timings land in ``BENCH_resilience.json`` for the CI perf gate.
 """
@@ -38,7 +34,7 @@ from repro.core.engine import AnonymizationParams
 from repro.core.verification import audit
 from repro.datasets.quest import generate_quest
 from repro.exceptions import FaultInjected
-from repro.stream import ShardedPipeline, StreamParams
+from repro.stream import IncrementalPipeline, ShardedPipeline, StreamParams
 
 from benchmarks.conftest import emit, run_once, write_bench_json
 
@@ -47,14 +43,10 @@ PARAMS = AnonymizationParams(k=5, m=2, max_cluster_size=30, verify=False)
 SHARDS = 4
 MAX_RECORDS_IN_MEMORY = 600
 
-#: Checkpointing budget: durable manifests + snapshots may cost at most
-#: this factor over the identical run without them.
-MAX_CHECKPOINT_OVERHEAD = 1.15
-
 #: Wall-time measurements per configuration (min is reported: the
 #: interesting quantity is the cost floor, not scheduler noise).  One
 #: untimed warmup of each configuration runs first so allocator and
-#: page-cache warmup land on neither side of the ratio.
+#: page-cache warmup land on neither side of a comparison.
 ROUNDS = 4
 
 
@@ -64,55 +56,53 @@ def _dataset():
     )
 
 
-def _run(records, spill_dir, *, checkpoint, resume=False):
-    pipeline = ShardedPipeline(
-        PARAMS,
-        StreamParams(
-            shards=SHARDS,
-            max_records_in_memory=MAX_RECORDS_IN_MEMORY,
-            spill_dir=spill_dir,
-            checkpoint=checkpoint,
-        ),
+def _stream(store_dir=None) -> StreamParams:
+    return StreamParams(
+        shards=SHARDS, max_records_in_memory=MAX_RECORDS_IN_MEMORY, store_dir=store_dir
     )
+
+
+def _plain(records):
+    pipeline = ShardedPipeline(PARAMS, _stream())
     start = time.perf_counter()
-    published = pipeline.run(iter(records), resume=resume)
+    published = pipeline.run(records)
+    return published, time.perf_counter() - start
+
+
+def _build(records, store_dir):
+    """One store build (or its re-run) under the idempotency token ``build``."""
+    pipeline = IncrementalPipeline(PARAMS, _stream(store_dir))
+    start = time.perf_counter()
+    published = pipeline.run(append=records, delta_id="build")
     return published, time.perf_counter() - start, pipeline.last_report
 
 
 def _bench_resilience(records, tmp_path) -> dict:
-    # -- checkpoint overhead: instrumented within-run factor ------------- #
-    _run(records, tmp_path / "warm-plain", checkpoint=False)
-    _run(records, tmp_path / "warm-ckpt", checkpoint=True)
-    plain_times, checkpointed_times, overhead_factors = [], [], []
+    # -- durability cost: plain run vs fresh store build ----------------- #
+    _plain(records)
+    _build(records, tmp_path / "warm")
+    plain_times, build_times = [], []
     for round_index in range(ROUNDS):
-        _, seconds, _ = _run(
-            records, tmp_path / f"plain-{round_index}", checkpoint=False
-        )
+        published, seconds = _plain(records)
         plain_times.append(seconds)
-        published, seconds, report = _run(
-            records, tmp_path / f"ckpt-{round_index}", checkpoint=True
-        )
-        checkpointed_times.append(seconds)
-        overhead_factors.append(seconds / (seconds - report.checkpoint_seconds))
+        _, seconds, _ = _build(records, tmp_path / f"build-{round_index}")
+        build_times.append(seconds)
     assert audit(published, k=PARAMS.k, m=PARAMS.m).ok
     oracle_json = json.dumps(published.to_dict(), sort_keys=True)
-    overhead = min(overhead_factors)
 
-    # -- resume vs cold rerun after a pre-merge crash -------------------- #
+    # -- recovery vs fresh build after a pre-merge crash ----------------- #
     crash_dir = tmp_path / "crash"
     plan = faults.FaultPlan([faults.FaultSpec("stream.merge", hit=1)])
     with faults.active(plan):
         try:
-            _run(records, crash_dir, checkpoint=True)
+            _build(records, crash_dir)
             raise AssertionError("injected crash did not fire")
         except FaultInjected:
             pass
-    resumed, resume_seconds, resume_report = _run(
-        records, crash_dir, checkpoint=True, resume=True
-    )
-    assert resume_report.resumed and resume_report.shards_skipped == SHARDS
-    assert json.dumps(resumed.to_dict(), sort_keys=True) == oracle_json
-    _, cold_seconds, _ = _run(records, tmp_path / "cold", checkpoint=True)
+    recovered, resume_seconds, report = _build(records, crash_dir)
+    assert report.delta_replayed and report.windows_recomputed == 0
+    assert json.dumps(recovered.to_dict(), sort_keys=True) == oracle_json
+    build_seconds = min(build_times)
 
     return {
         "workload": {
@@ -122,53 +112,40 @@ def _bench_resilience(records, tmp_path) -> dict:
             "k": PARAMS.k,
             "m": PARAMS.m,
         },
-        "checkpoint_off_seconds": min(plain_times),
-        "checkpoint_on_seconds": min(checkpointed_times),
-        "checkpoint_overhead_factor": overhead,
-        "checkpoint_overhead_budget": MAX_CHECKPOINT_OVERHEAD,
-        "checkpoint_overhead_ok": overhead <= MAX_CHECKPOINT_OVERHEAD,
-        "checkpoint_write_seconds": report.checkpoint_seconds,
+        "plain_run_seconds": min(plain_times),
+        "store_build_seconds": build_seconds,
         "resume_seconds": resume_seconds,
-        "cold_rerun_seconds": cold_seconds,
-        "resume_speedup_factor": cold_seconds / resume_seconds,
-        "resume_faster_than_cold": resume_seconds < cold_seconds,
+        "resume_speedup_factor": build_seconds / resume_seconds,
+        "resume_faster_than_cold": resume_seconds < build_seconds,
         "resume_output_identical": True,  # asserted above
         "audit_ok": True,  # asserted above
     }
 
 
 @pytest.mark.benchmark(group="resilience")
-def test_bench_checkpoint_overhead_and_resume(benchmark, tmp_path):
-    """Measure durability overhead + resume speedup; gate both as booleans."""
+def test_bench_store_build_and_recovery(benchmark, tmp_path):
+    """Measure the store build's cost + crash-recovery speedup; gate the latter."""
     records = list(_dataset())
     payload = run_once(benchmark, _bench_resilience, records, tmp_path)
-    assert payload["checkpoint_overhead_ok"], (
-        f"checkpointing costs {payload['checkpoint_overhead_factor']:.3f}x, "
-        f"budget is {MAX_CHECKPOINT_OVERHEAD}x"
-    )
     assert payload["resume_faster_than_cold"]
     write_bench_json("resilience", payload)
     emit(
-        "Resilience: checkpoint overhead and crash-resume (4000 QUEST records)",
+        "Resilience: store build and crash recovery (4000 QUEST records)",
         [
             {
-                "configuration": "checkpoint off",
-                "seconds": round(payload["checkpoint_off_seconds"], 3),
+                "configuration": "plain sharded run",
+                "seconds": round(payload["plain_run_seconds"], 3),
             },
             {
-                "configuration": "checkpoint on",
-                "seconds": round(payload["checkpoint_on_seconds"], 3),
+                "configuration": "store build",
+                "seconds": round(payload["store_build_seconds"], 3),
             },
             {
-                "configuration": "resume after pre-merge crash",
+                "configuration": "store re-run after pre-merge crash",
                 "seconds": round(payload["resume_seconds"], 3),
             },
-            {
-                "configuration": "cold rerun",
-                "seconds": round(payload["cold_rerun_seconds"], 3),
-            },
         ],
-        "not a paper figure: operational cost of the fault-tolerance layer "
-        f"(overhead {payload['checkpoint_overhead_factor']:.3f}x, resume "
-        f"{payload['resume_speedup_factor']:.1f}x faster than cold)",
+        "not a paper figure: operational cost of the durable store path "
+        f"(recovery {payload['resume_speedup_factor']:.1f}x faster than a "
+        "fresh build)",
     )

@@ -3,12 +3,13 @@
 A :class:`Deadline` is a wall-clock budget anchored at creation time.  The
 service layer opens a :func:`scope` around each request's execution and the
 pipeline layers call :func:`check` at phase boundaries (between HORPART /
-VERPART / REFINE / VERIFY in the engine, and between plan / spill / window
-/ merge / repair steps in the streaming executor).  A request that blows
-its budget therefore aborts at the *next* boundary with
+VERPART / REFINE / VERIFY in the engine, between plan / spill / window /
+merge / repair steps in the streaming executor, and between open /
+mutate / window steps of a shard store run).  A request that blows its
+budget therefore aborts at the *next* boundary with
 :class:`~repro.exceptions.DeadlineExceededError` rather than being killed
-mid-phase -- partial per-shard checkpoints stay consistent and the engine
-pool stays healthy.
+mid-phase -- committed store windows stay consistent and the engine pool
+stays healthy.
 
 The context variable makes the deadline flow through nested calls (service
 -> engine -> streaming executor) without threading a parameter through

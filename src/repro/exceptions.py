@@ -69,31 +69,18 @@ class MiningError(ReproError):
     (e.g. a non-positive ``top_k`` or a negative minimum support)."""
 
 
-class CheckpointError(ReproError):
-    """Raised when a streaming run checkpoint cannot be used.
-
-    Signals a missing, corrupt or incompatible run manifest: resuming
-    without a manifest in the spill directory, a manifest written by an
-    incompatible library version, or a manifest whose recorded parameters
-    do not match the resuming pipeline's (silently resuming with different
-    ``k``/``m``/sharding would splice incompatible partial results into one
-    publication).
-    """
-
-
-class StoreError(CheckpointError):
+class StoreError(ReproError):
     """Raised when a persistent shard store cannot be used.
 
-    The incremental substrate (:mod:`repro.stream.store`) refuses to touch
-    a store that would corrupt the publication: an unreadable or
+    The durable state of a sharded run (:mod:`repro.stream.store`) refuses
+    to touch a store that would corrupt the publication: an unreadable or
     wrong-version database, a store created under different
-    output-affecting parameters, a delta that deletes a record the store
-    does not hold, or a delta that would change the shard plan fingerprint
-    (re-anonymizing only dirty shards under a different routing would
-    silently diverge from a cold run).  Subclasses
-    :class:`CheckpointError`: a store is the long-lived generalization of
-    the one-shot run checkpoint, and callers guarding resume paths with
-    ``except CheckpointError`` should treat both alike.
+    output-affecting parameters, a malformed window snapshot, a delta that
+    deletes a record the store does not hold, a delta that would change
+    the shard plan fingerprint (re-anonymizing only dirty shards under a
+    different routing would silently diverge from a cold run), or a
+    ``delta_id`` replayed with different contents.  The HTTP front door
+    answers it with ``409`` (kind ``checkpoint_conflict``).
     """
 
 
@@ -102,7 +89,7 @@ class DeadlineExceededError(ReproError):
 
     Checked between pipeline phases (and at job dequeue in the service
     layer), so a deadline aborts a run at the next phase boundary instead
-    of mid-phase.  ``where`` names the checkpoint that observed the expiry
+    of mid-phase.  ``where`` names the check point that observed the expiry
     (e.g. ``"engine.refine"``); ``budget`` is the deadline in seconds.
     """
 

@@ -37,17 +37,17 @@ Endpoints:
   ``503`` once it is closed.
 
 Error mapping: every error body is ``{"error": <message>, "kind":
-<machine-readable kind>}``.  Malformed JSON / unknown knobs / invalid
-records answer ``400`` (kind ``bad_request``); unknown paths ``404``;
-wrong methods ``405``; oversize bodies ``413`` (kind ``too_large``);
-queue saturation ``429`` with ``Retry-After`` (kind ``saturated``); a
-closed service ``503`` (kind ``closed``); an expired request deadline
-``504`` (kind ``deadline_exceeded``); anything unexpected ``500`` (kind
-``internal``).  Every request executes once: a failure is answered, not
-retried.
+<machine-readable kind>}``.  Malformed JSON / unknown body keys / unknown
+knobs / invalid records answer ``400`` (kind ``bad_request``); unknown
+paths ``404``; wrong methods ``405``; oversize bodies ``413`` (kind
+``too_large``); queue saturation ``429`` with ``Retry-After`` (kind
+``saturated``); a closed service ``503`` (kind ``closed``); an expired
+request deadline ``504`` (kind ``deadline_exceeded``); anything unexpected
+``500`` (kind ``internal``).  Every request executes once: a failure is
+answered, not retried.
 ``POST /anonymize`` additionally accepts ``"deadline"`` (seconds budget
-for this request) and ``"resume"`` (resume a checkpointed streaming run;
-requires ``"mode": "stream"``).  With ``"mode": "delta"`` the body
+for this request); any other top-level key is refused with ``400``
+rather than silently dropped.  With ``"mode": "delta"`` the body
 mutates the service's persistent shard store instead: ``"records"``
 (alias ``"append"``) holds the records to append, ``"delete"`` the
 records to remove, either side may be empty or absent (an empty delta
@@ -71,13 +71,13 @@ from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import (
-    CheckpointError,
     DatasetError,
     DeadlineExceededError,
     ParameterError,
     ReproError,
     ServiceClosedError,
     ServiceSaturatedError,
+    StoreError,
 )
 from repro.service.service import AnonymizationService, Job
 
@@ -95,6 +95,12 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: evicted (pending/running jobs are never evicted).
 MAX_RETAINED_JOBS = 1024
 
+#: Every top-level key ``POST /anonymize`` understands.
+ANONYMIZE_KEYS = frozenset(
+    {"records", "append", "delete", "mode", "overrides", "tag", "deadline",
+     "async", "delta_id"}
+)
+
 
 def classify_error(exc: BaseException) -> tuple:
     """Map a service exception to ``(status, kind, extra headers)``.
@@ -111,11 +117,12 @@ def classify_error(exc: BaseException) -> tuple:
         return 429, "saturated", (("Retry-After", "1"),)
     if isinstance(exc, ServiceClosedError):
         return 503, "closed", ()
-    if isinstance(exc, CheckpointError):
-        # Covers StoreError too: the request conflicts with the durable
-        # state on disk (mismatched fingerprint, plan drift, a delete of a
-        # record the store does not hold) -- the classic 409, not a 400:
-        # the same body can be perfectly valid against another store.
+    if isinstance(exc, StoreError):
+        # The request conflicts with the durable state on disk (mismatched
+        # fingerprint, plan drift, a delete of a record the store does not
+        # hold) -- the classic 409, not a 400: the same body can be
+        # perfectly valid against another store.  The kind string is the
+        # wire contract and predates the store.
         return 409, "checkpoint_conflict", ()
     if isinstance(exc, (ParameterError, DatasetError)):
         return 400, "bad_request", ()
@@ -341,6 +348,15 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _handle_anonymize(self, payload: dict) -> None:
+        # A misspelled key (say "deadlin") silently dropped would run the
+        # request without the setting it asked for: refuse it instead.
+        unknown = sorted(set(payload) - ANONYMIZE_KEYS)
+        if unknown:
+            raise _HttpError(
+                400,
+                f"unknown /anonymize body keys: {', '.join(unknown)} "
+                f"(known: {', '.join(sorted(ANONYMIZE_KEYS))})",
+            )
         mode = payload.get("mode", "auto")
         delta_id = payload.get("delta_id")
         if mode == "delta":
@@ -372,7 +388,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             "overrides": payload.get("overrides") or {},
             "tag": payload.get("tag"),
             "deadline": payload.get("deadline"),
-            "resume": bool(payload.get("resume", False)),
             "delete": delete,
             "delta_id": delta_id,
         }

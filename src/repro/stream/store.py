@@ -2,8 +2,9 @@
 
 The sharded streaming executor (:mod:`repro.stream.executor`) recomputes
 every shard from throwaway spill files on each run, even when one record
-changed.  This module upgrades PR 8's one-shot checkpoints into a
-long-lived incremental substrate:
+changed, and keeps no durable state.  This module is the one durable
+format of a sharded run -- both of a long-lived incremental store and of
+a long one-shot run that must survive a crash:
 
 * :class:`ShardStore` -- a single-file SQLite database (stdlib
   :mod:`sqlite3`, no extra dependencies) under ``store_dir`` holding the
@@ -44,7 +45,7 @@ existing equivalence suites):
 4. window labels (``S<shard>W<window>.``) depend only on shard and
    window index, and merge + global boundary repair + private-record
    stripping are deterministic functions of the per-window cluster
-   lists (the crash/resume suite's identity property).
+   lists (the incremental fuzz suite's crash-rerun identity property).
 
 Durability: every mutation is one atomic SQLite transaction (records,
 plan, generation and the delta's idempotency token commit together), each
@@ -52,7 +53,14 @@ recomputed window commits independently, and the publication commits
 last with the generation it was computed from.  A crash at any instant
 leaves a consistent store; the next :meth:`IncrementalPipeline.run` --
 with the same ``delta_id`` or with no delta at all -- reconciles the
-stale windows by fingerprint and completes the publication.  Faults and
+stale windows by fingerprint and completes the publication.  That is also
+how a crashed *initial* build recovers: the build is the first delta of
+an empty store, so re-running it with its ``delta_id`` (``repro anonymize
+--store-dir S --delta-id D``) skips the committed mutation, reuses every
+window that already committed, and publishes what an uninterrupted cold
+run would.  Unlike the spill files of a cold run, a delta's appended
+records are held in memory while they are routed (``append`` is listed),
+so a store build needs its input to fit in memory.  Faults and
 deadlines are honored at every phase boundary (``store.open``,
 ``store.validate``, ``store.mutate``, ``store.compact``, plus the
 streaming ``stream.window`` / ``stream.merge`` / ``stream.verify``
@@ -75,6 +83,7 @@ other's tokens.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sqlite3
@@ -85,17 +94,21 @@ from typing import Iterable, Optional, Union
 
 from repro import faults
 from repro.core import deadline, kernels
-from repro.core.clusters import Cluster, DisassociatedDataset, paused_gc
+from repro.core.clusters import (
+    Cluster,
+    DisassociatedDataset,
+    JointCluster,
+    RecordChunk,
+    SharedChunk,
+    SimpleCluster,
+    TermChunk,
+    paused_gc,
+)
 from repro.core.dataset import TransactionDataset, ensure_record, normalize_record
 from repro.core.engine import AnonymizationParams, Disassociator, _fill_report
 from repro.core.vocab import Vocabulary
 from repro.exceptions import ParameterError, StoreError
 from repro.stream.boundary import BoundaryRepairSummary, verify_and_repair
-from repro.stream.checkpoint import (
-    cluster_from_payload,
-    cluster_to_payload,
-    run_fingerprint,
-)
 from repro.stream.executor import StreamParams, _without_private_records, relabel_cluster
 from repro.stream.planner import HashShardPlanner, HorpartShardPlanner, build_planner
 
@@ -148,6 +161,166 @@ CREATE TABLE IF NOT EXISTS applied_deltas (
     digest     TEXT NOT NULL
 );
 """
+
+
+#: Parameter fields excluded from the fingerprint (execution-only knobs
+#: proven output-neutral by the equivalence suites).
+_EXCLUDED_PARAM_FIELDS = frozenset({"jobs", "kernels"})
+
+#: Stream fields excluded from the fingerprint (the directories are the
+#: store's identity, not part of it).
+_EXCLUDED_STREAM_FIELDS = frozenset({"spill_dir", "store_dir", "pubstore_dir"})
+
+
+def _json_safe(value):
+    """Coerce a parameter value to its JSON round-trip form."""
+    if isinstance(value, (frozenset, set)):
+        return sorted(_json_safe(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    if isinstance(value, Path):
+        return str(value)
+    return value
+
+
+def run_fingerprint(params: AnonymizationParams, stream: StreamParams) -> dict:
+    """Fingerprint of the output-affecting run parameters (JSON-safe).
+
+    Covers every field of :class:`~repro.core.engine.AnonymizationParams`
+    and :class:`~repro.stream.executor.StreamParams` that can change the
+    published output.  Execution-only knobs -- ``jobs``, ``kernels``
+    (output equivalence across both is covered by the kernel/parallelism
+    test suites) and the directories -- are excluded, so an operator may
+    re-run a delta with fewer workers or a different kernel after a crash.
+    """
+    fingerprint = {}
+    for fld in dataclasses.fields(params):
+        if fld.name not in _EXCLUDED_PARAM_FIELDS:
+            fingerprint[f"params.{fld.name}"] = _json_safe(getattr(params, fld.name))
+    for fld in dataclasses.fields(stream):
+        if fld.name not in _EXCLUDED_STREAM_FIELDS:
+            fingerprint[f"stream.{fld.name}"] = _json_safe(getattr(stream, fld.name))
+    return fingerprint
+
+
+#: Separator for the compact term-set form in window snapshots.  A term
+#: set is written as one joined string instead of a JSON list: far fewer
+#: objects to build and encode per window, and a plain space needs no JSON
+#: escaping.  A set whose terms themselves contain the separator falls
+#: back to the list form (detected by a separator count mismatch), so the
+#: format is never ambiguous.
+_TERMS_SEP = " "
+
+
+def _terms_payload(terms):
+    """One term set as a joined string (or a list when unrepresentable)."""
+    joined = _TERMS_SEP.join(terms)
+    if joined.count(_TERMS_SEP) != len(terms) - 1:
+        return list(terms)  # a term contains the separator (or the set is empty)
+    return joined
+
+
+def _terms_from_payload(value):
+    """Invert :func:`_terms_payload` (accepts both forms)."""
+    return value.split(_TERMS_SEP) if isinstance(value, str) else value
+
+
+def _chunk_payload(chunk) -> dict:
+    """Snapshot form of a record/shared chunk, without the sorted lists.
+
+    The public :meth:`to_dict` sorts every term list for stable published
+    output, but chunk contents are ``frozenset``s -- deserialization
+    normalizes them straight back into sets, erasing their order -- so
+    for a window snapshot (private to the store, read only by
+    :func:`cluster_from_payload`) the sorting is pure CPU.  Only *list*
+    order survives the round trip (sub-record sequence, contribution
+    slices), and that is preserved verbatim here exactly as in
+    :meth:`to_dict`.
+    """
+    payload = {
+        "domain": _terms_payload(chunk.domain),
+        "subrecords": [_terms_payload(subrecord) for subrecord in chunk.subrecords],
+    }
+    if isinstance(chunk, SharedChunk):
+        payload["contributions"] = [
+            [str(label), int(count)] for label, count in chunk.contributions.items()
+        ]
+    return payload
+
+
+def _chunk_from_payload(payload: dict):
+    """Rebuild a record/shared chunk from its :func:`_chunk_payload` form."""
+    domain = _terms_from_payload(payload["domain"])
+    subrecords = [_terms_from_payload(sr) for sr in payload["subrecords"]]
+    raw = payload.get("contributions")
+    if raw is None:
+        return RecordChunk(domain, subrecords)
+    return SharedChunk(
+        domain, subrecords, {str(label): int(count) for label, count in raw}
+    )
+
+
+def cluster_to_payload(cluster: Cluster) -> dict:
+    """Serialize a cluster tree for a window snapshot.
+
+    Extends the public :meth:`to_dict` schema with each simple cluster's
+    private ``original_records`` (when present): the post-merge boundary
+    repair consults them to decide which demoted terms each leaf absorbs,
+    so a snapshot without them would make a reused window repair more
+    conservatively than a recomputed one and break bit-for-bit identity
+    with a cold run.  Term lists are written unsorted (see
+    :func:`_chunk_payload`); the reconstructed clusters are identical
+    either way.
+    """
+    if isinstance(cluster, JointCluster):
+        return {
+            "type": "joint",
+            "label": cluster.label,
+            "children": [cluster_to_payload(child) for child in cluster.children],
+            "shared_chunks": [
+                _chunk_payload(chunk) for chunk in cluster.shared_chunks
+            ],
+        }
+    payload = {
+        "type": "simple",
+        "label": cluster.label,
+        "size": cluster.size,
+        "record_chunks": [_chunk_payload(chunk) for chunk in cluster.record_chunks],
+        "term_chunk": {"terms": _terms_payload(cluster.term_chunk.terms)},
+    }
+    if cluster.original_records is not None:
+        payload["original_records"] = [
+            _terms_payload(record) for record in cluster.original_records
+        ]
+    return payload
+
+
+def cluster_from_payload(payload: dict) -> Cluster:
+    """Rebuild a cluster tree from its :func:`cluster_to_payload` form."""
+    try:
+        kind = payload["type"]
+        if kind == "joint":
+            return JointCluster(
+                [cluster_from_payload(child) for child in payload["children"]],
+                [_chunk_from_payload(c) for c in payload.get("shared_chunks", [])],
+                label=payload.get("label"),
+            )
+        if kind != "simple":
+            raise StoreError(f"unknown cluster type in window snapshot: {kind!r}")
+        raw = payload.get("original_records")
+        return SimpleCluster(
+            size=payload["size"],
+            record_chunks=[_chunk_from_payload(c) for c in payload["record_chunks"]],
+            term_chunk=TermChunk(_terms_from_payload(payload["term_chunk"]["terms"])),
+            label=payload.get("label"),
+            original_records=(
+                None if raw is None else [_terms_from_payload(r) for r in raw]
+            ),
+        )
+    except StoreError:
+        raise
+    except Exception as exc:
+        raise StoreError(f"malformed window snapshot payload: {exc}") from exc
 
 
 def record_text(record: Iterable) -> str:

@@ -1,7 +1,8 @@
 """Unit tests for the deterministic fault-injection harness (``repro.faults``).
 
-The resilience suites (``test_resilience.py``, ``test_service_resilience.py``)
-exercise the harness end-to-end through the pipelines; this file pins down
+The resilience suites (``test_incremental_fuzz.py``,
+``test_service_resilience.py``) exercise the harness end-to-end through
+the pipelines; this file pins down
 the harness itself: trigger semantics, determinism across processes, the
 ``$REPRO_FAULTS`` grammar, and the arming lifecycle.
 """

@@ -326,6 +326,21 @@ class TestHttpEndpoints:
         assert status == 400
         assert "records" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "extra,unknown",
+        [
+            # A misspelled knob must not run the request without it.
+            ({"deadlin": 5}, "deadlin"),
+            # A stale field of a removed feature must not be ignored.
+            ({"resume": True}, "resume"),
+        ],
+    )
+    def test_unknown_body_key_400(self, served, extra, unknown):
+        body = {"records": [["a", "b"]], "mode": "batch", **extra}
+        status, payload = http(served.url, "POST", "/anonymize", body)
+        assert (status, payload["kind"]) == (400, "bad_request")
+        assert f"unknown /anonymize body keys: {unknown}" in payload["error"]
+
     def test_bad_mode_400(self, served):
         status, payload = http(
             served.url, "POST", "/anonymize", {"records": [["a", "b"]], "mode": "warp"}

@@ -17,7 +17,13 @@ which makes it an ideal fuzz target:
   crosses (store open/validate/mutate, window, merge, verify) and checks
   that re-running the *same* delta -- same ``delta_id`` -- converges to
   the oracle regardless of where the first attempt died (mutation
-  committed or not);
+  committed or not).  The same drill runs on a store's *initial* build
+  (an empty base, every workload family, ``hash`` and ``horpart``
+  routing): the store is the one durable format of a sharded run, so a
+  crashed long run is finished exactly this way;
+* :class:`TestEnvDrivenFaults` is the CI fault matrix's entry: the same
+  crash-then-rerun of a store build, with the crash armed through
+  ``$REPRO_FAULTS``;
 * :class:`TestServiceDeltaResend` checks the client-side half of that
   contract: the service fails a crashed delta once, and the client's
   resend with the same ``delta_id`` -- through the library or HTTP --
@@ -27,6 +33,7 @@ which makes it an ideal fuzz target:
 from __future__ import annotations
 
 import json
+import os
 import random
 import urllib.error
 import urllib.request
@@ -74,6 +81,14 @@ def _cold(records, **stream_overrides):
     values = dict(shards=3, max_records_in_memory=100)
     values.update(stream_overrides)
     return ShardedPipeline(PARAMS, StreamParams(**values)).run(list(records))
+
+
+def _crash_then_rerun(pipeline, plan, **delta):
+    """Crash one store run under ``plan``, then re-run it unarmed."""
+    with faults.active(plan):
+        with pytest.raises(FaultInjected):
+            pipeline.run(**delta)
+    return pipeline.run(**delta)
 
 
 def _term_pool(records) -> list:
@@ -196,30 +211,65 @@ DELTA_CRASH_POINTS = [
     ("stream.verify", 1),
 ]
 
+#: The points a store's initial build crosses: ``store.validate`` never
+#: fires on an empty store, and ``engine.vertical`` hit 2 dies inside the
+#: second window's engine run, after the first window committed.
+BUILD_CRASH_POINTS = [
+    ("store.open", 1),
+    ("store.mutate", 1),
+    ("stream.window", 1),
+    ("stream.window", 2),
+    ("engine.vertical", 2),
+    ("stream.merge", 1),
+    ("stream.verify", 1),
+]
+
+#: (base, workload, strategy, point, hit): a delta over a built quest
+#: store, and the initial build of every workload under both routings.
+CRASH_CASES = [
+    pytest.param("built", "quest", "hash", point, hit, id=f"{point}-{hit}")
+    for point, hit in DELTA_CRASH_POINTS
+] + [
+    pytest.param(
+        "empty", workload, strategy, point, hit,
+        id=f"empty-{workload}-{strategy}-{point}-{hit}",
+    )
+    for workload in sorted(WORKLOADS)
+    for strategy in ("hash", "horpart")
+    for point, hit in BUILD_CRASH_POINTS
+]
+
 
 class TestCrashResume:
-    @pytest.mark.parametrize("point,hit", DELTA_CRASH_POINTS)
+    @pytest.mark.parametrize("base,workload,strategy,point,hit", CRASH_CASES)
     def test_crash_during_delta_then_rerun(
-        self, point, hit, base_records, tmp_path
+        self, base, workload, strategy, point, hit, base_records, tmp_path
     ):
         """A delta killed at any phase converges on re-run (same delta_id).
 
         Crashes before the mutation commit must re-apply the mutation;
         crashes after it must *not* double-apply (the store recognizes the
         ``delta_id``).  Either way the re-run publishes the oracle bytes.
+        On an empty base the delta is the store's initial build, and the
+        oracle is the cold sharded run over the whole dataset.
         """
-        records = base_records["quest"]
-        pipeline = IncrementalPipeline(PARAMS, _stream(tmp_path / "store"))
-        pipeline.run(append=records)
-        appends = [frozenset({f"crash-{i}", f"crash-{i + 1}"}) for i in range(9)]
-        deletes = records[3:7]
+        records = base_records[workload]
+        pipeline = IncrementalPipeline(
+            PARAMS, _stream(tmp_path / "store", strategy=strategy)
+        )
+        if base == "built":
+            pipeline.run(append=records)
+            appends = [frozenset({f"crash-{i}", f"crash-{i + 1}"}) for i in range(9)]
+            deletes = records[3:7]
+            mutated = _apply_oracle(records, appends, deletes)
+        else:
+            appends, deletes, mutated = records, [], records
         plan = faults.FaultPlan([faults.FaultSpec(point, hit=hit)])
-        with faults.active(plan):
-            with pytest.raises(FaultInjected):
-                pipeline.run(append=appends, delete=deletes, delta_id="delta-1")
-        resumed = pipeline.run(append=appends, delete=deletes, delta_id="delta-1")
-        mutated = _apply_oracle(records, appends, deletes)
-        assert _canonical(resumed) == _canonical(_cold(mutated))
+        resumed = _crash_then_rerun(
+            pipeline, plan, append=appends, delete=deletes, delta_id="delta-1"
+        )
+        assert plan.hits(point) == hit
+        assert _canonical(resumed) == _canonical(_cold(mutated, strategy=strategy))
         # The mutation landed exactly once, whether the crash hit before
         # or after the commit.
         assert pipeline.last_report.num_records == len(mutated)
@@ -336,3 +386,31 @@ class TestServiceDeltaResend:
         assert json.dumps(resent["publication"], sort_keys=True) == _canonical(
             _cold(mutated)
         )
+
+
+class TestEnvDrivenFaults:
+    """The CI fault matrix path: ``$REPRO_FAULTS`` arms the same harness."""
+
+    @pytest.mark.skipif(
+        not os.environ.get(faults.ENV_VAR),
+        reason="set REPRO_FAULTS=point:N to run the env-armed crash matrix",
+    )
+    def test_env_armed_crash_then_rerun(self, tmp_path):
+        records = list(
+            make_workload("quest", records=400, domain=100, avg_len=8.0, seed=11)
+        )
+        # Fresh counters, and the plan armed at import is disarmed so the
+        # oracle and the re-run are not themselves crashed.
+        plan = faults.plan_from_env()
+        assert plan is not None
+        previous = faults.active_plan()
+        faults.clear()
+        try:
+            oracle = _cold(records)
+            pipeline = IncrementalPipeline(PARAMS, _stream(tmp_path / "store"))
+            finished = _crash_then_rerun(
+                pipeline, plan, append=records, delta_id="env-build"
+            )
+            assert _canonical(finished) == _canonical(oracle)
+        finally:
+            faults.install(previous)

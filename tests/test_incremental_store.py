@@ -21,9 +21,9 @@ from repro.cli import main
 from repro.core.engine import AnonymizationParams
 from repro.datasets.io import write_jsonl
 from repro.exceptions import (
-    CheckpointError,
     FaultInjected,
     ParameterError,
+    ReproError,
     StoreError,
 )
 from repro.service import AnonymizationRequest, AnonymizationService, ServiceConfig
@@ -195,8 +195,8 @@ class TestStoreValidation:
         with pytest.raises(StoreError):
             hashed.run(append=[frozenset({"x"})])
 
-    def test_store_error_is_checkpoint_error(self):
-        assert issubclass(StoreError, CheckpointError)
+    def test_store_error_is_repro_error(self):
+        assert issubclass(StoreError, ReproError)
 
     def test_delete_on_fresh_store_refused(self, tmp_path):
         pipeline = IncrementalPipeline(PARAMS, _stream(tmp_path / "s"))
@@ -342,8 +342,6 @@ class TestHttpDelta:
     def test_store_error_classified_as_conflict(self):
         status, kind, _ = classify_error(StoreError("boom"))
         assert (status, kind) == (409, "checkpoint_conflict")
-        status, kind, _ = classify_error(CheckpointError("boom"))
-        assert (status, kind) == (409, "checkpoint_conflict")
 
 
 class TestCliDelta:
@@ -395,18 +393,6 @@ class TestCliDelta:
         code = main(["anonymize", "--output", str(tmp_path / "o.json")])
         assert code == 2
         assert "input" in capsys.readouterr().err
-
-    def test_cli_store_dir_conflicts_with_resume(self, tmp_path, capsys):
-        code = main(
-            [
-                "anonymize", "in.txt", "--stream", "--resume",
-                "--spill-dir", str(tmp_path / "spill"),
-                "--store-dir", str(tmp_path / "store"),
-                "--output", str(tmp_path / "o.json"),
-            ]
-        )
-        assert code == 2
-        assert "incremental" in capsys.readouterr().err
 
     def test_cli_input_and_append_both_rejected(self, tmp_path, capsys):
         code = main(

@@ -113,6 +113,7 @@ class TestServiceConfig:
             ({"kk": 5}, "kk"),
             # A stale setting of a removed knob fails instead of being ignored.
             ({"retry": "attempts=3,backoff=0.1"}, "retry"),
+            ({"checkpoint": True}, "checkpoint"),
         ],
     )
     def test_from_dict_rejects_unknown_keys(self, payload, unknown):
@@ -174,16 +175,19 @@ class TestServiceConfig:
             ServiceConfig.from_env(environ)
 
     @pytest.mark.parametrize(
-        "variable,unknown",
+        "variable,value,unknown",
         [
-            ("REPRO_SERVICE_MAX_CLUSTERSIZE", "max_clustersize"),
+            ("REPRO_SERVICE_MAX_CLUSTERSIZE", "50", "max_clustersize"),
             # A stale setting of a removed knob fails instead of being ignored.
-            ("REPRO_SERVICE_RETRY", "retry"),
+            ("REPRO_SERVICE_RETRY", "50", "retry"),
+            ("REPRO_SERVICE_CHECKPOINT", "1", "checkpoint"),
         ],
     )
-    def test_from_env_rejects_misspelled_prefixed_variables(self, variable, unknown):
+    def test_from_env_rejects_misspelled_prefixed_variables(
+        self, variable, value, unknown
+    ):
         with pytest.raises(ParameterError, match=f"environment variables.*: {unknown}"):
-            ServiceConfig.from_env({variable: "50"})
+            ServiceConfig.from_env({variable: value})
 
     def test_stream_threshold_defaults_to_memory_bound(self):
         assert ServiceConfig(max_records_in_memory=77).stream_threshold == 77
@@ -265,6 +269,9 @@ class TestRouting:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ParameterError, match="mode"):
             AnonymizationRequest(quest(10), mode="turbo")
+        # A removed request field fails loudly instead of being ignored.
+        with pytest.raises(TypeError):
+            AnonymizationRequest(quest(10), mode="stream", resume=True)
 
 
 # --------------------------------------------------------------------------- #
