@@ -17,8 +17,8 @@ CPython's small-int bitops):
   masks: per-row bigint shifts vs one ``unpackbits``.
 
 Alongside the micro timings, the payload records end-to-end ``to_dict``
-equivalence booleans (forced ``python`` vs ``numpy`` kernels, and
-streaming with vs without shard-lifetime vocabulary reuse) plus the numpy
+equivalence booleans (forced ``python`` vs ``numpy`` kernels, and an
+engine interning onto a prewarmed vocabulary vs a fresh one) plus the numpy
 pipeline's phase timings; ``BENCH_kernels.json`` is gated in CI by
 ``perf_gate.py`` like every other baseline.  Timings are min-of-N over a
 deterministic workload, as for the other committed baselines.
@@ -34,9 +34,8 @@ from collections import Counter
 from repro.core import kernels
 from repro.core.anonymity import BitsetChunkChecker, _masks_are_km_anonymous
 from repro.core.engine import AnonymizationParams, Disassociator
-from repro.core.vocab import EncodedDataset
+from repro.core.vocab import EncodedDataset, Vocabulary
 from repro.datasets.quest import generate_quest
-from repro.stream import ShardedPipeline, StreamParams
 
 from benchmarks.conftest import emit, run_once, write_bench_json
 
@@ -164,10 +163,11 @@ def _equivalence(dataset) -> tuple[dict, dict]:
     published = {}
     phases = {}
     for backend in ("python", "numpy"):
-        engine = Disassociator(AnonymizationParams(kernels=backend, **PARAMS))
+        engine = Disassociator(AnonymizationParams(**PARAMS))
         best_total = float("inf")
         for _ in range(REPEATS):
-            result = engine.anonymize(dataset)
+            with kernels.use(backend):
+                result = engine.anonymize(dataset)
             report = engine.last_report
             # The workload is deterministic; keep the least-noisy run's
             # timings (these are gated by perf_gate, single samples drift).
@@ -176,17 +176,16 @@ def _equivalence(dataset) -> tuple[dict, dict]:
                 phases[backend] = report.phase_timings()
         published[backend] = result.to_dict()
 
-    stream_outputs = {}
-    for reuse in (True, False):
-        pipeline = ShardedPipeline(
-            AnonymizationParams(**PARAMS),
-            StreamParams(shards=4, max_records_in_memory=1000, reuse_vocabulary=reuse),
-        )
-        stream_outputs[reuse] = pipeline.anonymize(dataset).to_dict()
+    # Interning order must not matter: prewarm every term in reversed
+    # order so no id matches what the fresh engine above assigned.
+    prewarmed = Vocabulary(sorted({term for record in dataset for term in record}, reverse=True))
+    with kernels.use("numpy"):
+        reused = Disassociator(AnonymizationParams(**PARAMS), vocabulary=prewarmed)
+        reused = reused.anonymize(dataset).to_dict()
 
     flags = {
         "outputs_identical_kernels": published["python"] == published["numpy"],
-        "outputs_identical_vocab_reuse": stream_outputs[True] == stream_outputs[False],
+        "outputs_identical_vocab_reuse": reused == published["numpy"],
     }
     return flags, phases
 

@@ -8,7 +8,7 @@ m=2, max_cluster_size=30).  Two quantities land in ``BENCH_refine.json``:
   scratch) against the incremental driver (rejected-pair memo, per-leaf
   mask caches, deferred chunk materialization) on the *same* bitset
   selector, so the measured ratio is the driver overhaul alone;
-* the full encoded ``jobs=1`` pipeline's phase timings and the driver's
+* the full encoded pipeline's phase timings and the driver's
   merge-attempt counters (attempted / applied / skipped-by-memo /
   prefiltered), which the CI perf gate tracks alongside the timings --
   counter regressions (an accidental extra pass, a dead memo) are caught

@@ -71,7 +71,6 @@ from repro.exceptions import (
     AnonymityViolationError,
     DatasetError,
     DatasetFormatError,
-    EngineClosedError,
     HierarchyError,
     MiningError,
     ParameterError,
@@ -98,7 +97,6 @@ __all__ = [
     "Disassociator",
     "EncodedCluster",
     "EncodedDataset",
-    "EngineClosedError",
     "HierarchyError",
     "Job",
     "JointCluster",

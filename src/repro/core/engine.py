@@ -8,10 +8,7 @@ implementing the small :class:`Phase` protocol (``name`` + ``run(ctx)``):
   :class:`~repro.core.vocab.EncodedDataset` first and split via posting
   lists; records are decoded back at the phase boundary.
 * :class:`VerticalPhase` -- VERPART per cluster, over int bitmasks on the
-  encoded backend.  ``jobs=N`` fans the independent per-cluster calls out
-  over ``concurrent.futures`` with a deterministic merge order (cluster
-  labels are assigned before submission, results are merged in label
-  order).
+  encoded backend.
 * :class:`RefinePhase` -- REFINE with bitset shared-chunk construction on
   the encoded backend.
 * :class:`VerifyPhase` -- publishes the dataset and re-audits it.
@@ -28,6 +25,14 @@ The ``backend`` parameter selects the execution core: ``"encoded"``
 original reference implementation.  Both produce identical published
 datasets (covered by the equivalence test suite).
 
+Every run executes in-process on the caller's thread, one phase after the
+other, as in the paper.  The engine holds no resource beyond its
+``last_report`` and optional vocabulary, so it needs no cleanup.  Which
+vectorized-kernel backend runs (:mod:`repro.core.kernels`) is resolved
+once per run from ``$REPRO_KERNELS`` / ``$REPRO_PACKED_MIN_ROWS`` or an
+enclosing :func:`repro.core.kernels.use` scope; it never changes the
+output.
+
 For datasets too large for one pass, :class:`ShardedPipeline` (re-exported
 here from :mod:`repro.stream`) runs this same pipeline per bounded-memory
 window inside each shard of a streamed input, then merges and globally
@@ -38,17 +43,15 @@ Typical usage::
     from repro import Disassociator, AnonymizationParams, TransactionDataset
 
     dataset = TransactionDataset([...])
-    params = AnonymizationParams(k=5, m=2, jobs=4)
+    params = AnonymizationParams(k=5, m=2)
     published = Disassociator(params).anonymize(dataset)
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 from repro import faults
 from repro.core import deadline, kernels
@@ -61,35 +64,12 @@ from repro.core.horizontal import (
 )
 from repro.core.refine import RefineStats, refine
 from repro.core.verification import verify_km_anonymity
-from repro.core.vertical import (
-    build_cluster_from_domains,
-    partition_domains_fast,
-    vertical_partition,
-    vertical_partition_fast,
-)
-from repro.core.vocab import (
-    EncodedCluster,
-    EncodedDataset,
-    Vocabulary,
-    discard_cluster_masks,
-    register_cluster_masks,
-)
-from repro.exceptions import EngineClosedError, ParameterError
+from repro.core.vertical import vertical_partition, vertical_partition_fast
+from repro.core.vocab import EncodedDataset, Vocabulary, discard_cluster_masks
+from repro.exceptions import ParameterError
 
 #: Execution backends: the interned/bitset core and the string reference.
 BACKENDS = ("encoded", "string")
-
-
-def effective_jobs(requested: int) -> int:
-    """The worker-process count actually used for a requested ``jobs`` value.
-
-    Capped at ``os.cpu_count()``: oversubscribing a host with more worker
-    processes than cores is pure scheduling and IPC overhead (the committed
-    ``BENCH_speedup.json`` measured ``jobs=4`` 1.16x *slower* end to end on
-    a 1-CPU host).  When the effective value is 1 no process pool is set up
-    at all.
-    """
-    return max(1, min(requested, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -112,18 +92,6 @@ class AnonymizationParams:
         backend: ``"encoded"`` (default) runs the interned-term/bitset
             execution core; ``"string"`` runs the reference implementation.
             Both produce identical published datasets.
-        jobs: number of worker processes for the per-cluster VERPART
-            fan-out (encoded backend only); ``1`` runs in-process.
-        kernels: vectorized-kernel backend for the encoded core --
-            ``"numpy"``, ``"python"``, ``"auto"`` or ``None`` (defer to
-            ``$REPRO_KERNELS``, then auto-select).  Both kernel backends
-            produce identical published datasets; see
-            :mod:`repro.core.kernels`.
-        packed_min_rows: row-count crossover for the packed kernels
-            (``None`` defers to ``$REPRO_PACKED_MIN_ROWS``, then the
-            :data:`~repro.core.kernels.PACKED_MIN_ROWS` default); see
-            :func:`repro.core.kernels.packed_min_rows`.  The threshold only
-            moves work between equivalent kernels, never the output.
     """
 
     k: int = 5
@@ -134,9 +102,6 @@ class AnonymizationParams:
     sensitive_terms: frozenset = field(default_factory=frozenset)
     verify: bool = True
     backend: str = "encoded"
-    jobs: int = 1
-    kernels: Optional[str] = None
-    packed_min_rows: Optional[int] = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -162,14 +127,6 @@ class AnonymizationParams:
             raise ParameterError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ParameterError(f"jobs must be a positive integer, got {self.jobs!r}")
-        if self.kernels is not None:
-            object.__setattr__(self, "kernels", kernels.validate_choice(self.kernels))
-        if self.packed_min_rows is not None:
-            object.__setattr__(
-                self, "packed_min_rows", kernels.validate_min_rows(self.packed_min_rows)
-            )
         object.__setattr__(
             self, "sensitive_terms", frozenset(str(t) for t in self.sensitive_terms)
         )
@@ -184,9 +141,8 @@ class AnonymizationReport:
     between the string and interned representations; both are sub-intervals
     of ``horizontal_seconds`` (the phase that owns the boundary).
 
-    ``effective_jobs`` is the worker count actually used (requested
-    ``jobs`` capped at the host's CPU count); ``kernels`` is the resolved
-    vectorized-kernel backend (``"python"`` or ``"numpy"``); the
+    ``kernels`` is the resolved vectorized-kernel backend (``"python"``
+    or ``"numpy"``); the
     ``refine_*`` counters expose the REFINE driver's per-pass work (see
     :class:`~repro.core.refine.RefineStats`).
 
@@ -206,7 +162,6 @@ class AnonymizationReport:
     verify_seconds: float = 0.0
     encode_seconds: float = 0.0
     decode_seconds: float = 0.0
-    effective_jobs: int = 1
     kernels: str = "python"
     refine_passes: int = 0
     refine_pairs_considered: int = 0
@@ -241,7 +196,6 @@ class AnonymizationReport:
     def counters(self) -> dict:
         """Work counters as a plain dict (machine-readable perf output)."""
         return {
-            "effective_jobs": self.effective_jobs,
             "refine_passes": self.refine_passes,
             "refine_pairs_considered": self.refine_pairs_considered,
             "refine_merges_attempted": self.refine_merges_attempted,
@@ -265,11 +219,6 @@ class PipelineContext:
         clusters: VERPART output -- one :class:`SimpleCluster` per partition.
         refined: REFINE output -- simple and/or joint clusters.
         published: the final :class:`DisassociatedDataset`.
-        pool_provider: lazily returns the engine's shared worker pool (or
-            ``None``) for the vertical phase's fan-out.
-        pool_release: drops the engine's worker pool (a no-op when none
-            was spawned); the vertical phase calls it when the pool
-            breaks, so the next ``anonymize`` call spawns a fresh one.
         vocabulary: optional pre-warmed interning table the horizontal
             phase encodes onto (shared across stream windows); ``None``
             interns from scratch.
@@ -283,20 +232,7 @@ class PipelineContext:
     clusters: list[SimpleCluster] = field(default_factory=list)
     refined: Optional[list[Cluster]] = None
     published: Optional[DisassociatedDataset] = None
-    pool_provider: Optional[Callable[[], Optional[ProcessPoolExecutor]]] = None
-    pool_release: Optional[Callable[[], None]] = None
     vocabulary: Optional[Vocabulary] = None
-
-    def pool(self) -> Optional[ProcessPoolExecutor]:
-        """The shared worker pool, or ``None`` when running in-process."""
-        if self.pool_provider is None:
-            return None
-        return self.pool_provider()
-
-    def release_pool(self) -> None:
-        """Drop the shared worker pool so the next call spawns a fresh one."""
-        if self.pool_release is not None:
-            self.pool_release()
 
     def publish(self) -> DisassociatedDataset:
         """Build (once) and return the published dataset."""
@@ -382,12 +318,7 @@ class HorizontalPhase:
 class VerticalPhase:
     """VERPART: split every partition into record chunks and a term chunk.
 
-    Per-cluster calls are independent; with ``params.jobs > 1`` (encoded
-    backend) they are fanned out over a process pool.  Cluster labels
-    (``P0..Pn``) are assigned before submission and results are merged in
-    that order, so the output is identical for every ``jobs`` value.  A
-    pool that breaks mid-call (a worker crashed) is released and the call
-    finishes serially; the report then says ``effective_jobs == 1``.
+    Partitions are processed in order and labelled ``P0..Pn``.
     """
 
     name = "vertical"
@@ -396,23 +327,11 @@ class VerticalPhase:
         """Fill ``ctx.clusters`` with one published cluster per partition."""
         params = ctx.params
         partitions = ctx.partitions or []
-        workers = effective_jobs(params.jobs)
-        ctx.report.effective_jobs = workers
         if params.backend == "encoded":
-            pool = ctx.pool() if len(partitions) > 1 else None
-            results = None
-            if pool is not None:
-                results = _parallel_vertical(
-                    partitions, params.k, params.m, pool, workers
-                )
-                if results is None:
-                    ctx.release_pool()
-                    ctx.report.effective_jobs = 1
-            if results is None:
-                results = [
-                    vertical_partition_fast(part, params.k, params.m, label=f"P{index}")
-                    for index, part in enumerate(partitions)
-                ]
+            results = [
+                vertical_partition_fast(part, params.k, params.m, label=f"P{index}")
+                for index, part in enumerate(partitions)
+            ]
         else:
             results = [
                 vertical_partition(
@@ -433,7 +352,7 @@ class RefinePhase:
     """REFINE: merge clusters into joint clusters with shared chunks.
 
     On the encoded backend the incremental driver runs (rejected-pair memo,
-    shared mask cache), in-process for every ``jobs`` value; the string
+    shared mask cache); the string
     backend keeps the reference driver so backend equivalence tests cover
     the whole overhaul.  The driver's counters land on the report.
     """
@@ -510,13 +429,6 @@ class Disassociator:
     Args:
         params: the anonymization parameters; defaults to ``k=5, m=2`` as in
             the paper's experiments.
-        keep_pool: keep the worker pool (``jobs > 1``) alive across
-            ``anonymize`` calls instead of shutting it down at the end of
-            each one.  Batch drivers such as
-            :class:`~repro.stream.ShardedPipeline` set this so every window
-            inherits the already-spawned workers; callers that set it own
-            the cleanup (call :meth:`close` or use the engine as a context
-            manager).
         vocabulary: optional :class:`~repro.core.vocab.Vocabulary` the
             encoded horizontal phase interns onto (instead of a fresh table
             per call).  Interning is append-only and id-insensitive
@@ -525,93 +437,20 @@ class Disassociator:
             shard-lifetime vocabulary to every window of a shard.  The
             attribute is plain and may be swapped between ``anonymize``
             calls.
+
+    An engine holds no resource: it may serve any number of ``anonymize``
+    calls and needs no cleanup.
     """
 
     def __init__(
         self,
         params: Optional[AnonymizationParams] = None,
         *,
-        keep_pool: bool = False,
         vocabulary: Optional[Vocabulary] = None,
     ):
         self.params = params if params is not None else AnonymizationParams()
         self.last_report: Optional[AnonymizationReport] = None
-        self.keep_pool = keep_pool
         self.vocabulary = vocabulary
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_unavailable = False
-        self._closed = False
-
-    # -- worker-pool lifecycle ------------------------------------------ #
-    def _shared_pool(self) -> Optional[ProcessPoolExecutor]:
-        """The engine's worker pool, spawned lazily on first use.
-
-        Returns ``None`` when the effective job count is 1 (no pool is ever
-        set up) or when the platform cannot spawn worker processes.
-        """
-        workers = effective_jobs(self.params.jobs)
-        if workers <= 1 or self._pool_unavailable:
-            return None
-        if self._pool is None:
-            try:
-                # Workers start fresh interpreters where only $REPRO_KERNELS
-                # would apply; the initializer hands them the backend this
-                # engine's params resolve to, so an explicit kernels choice
-                # governs the fan-out too.
-                self._pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=kernels.set_default,
-                    initargs=(
-                        kernels.resolve(self.params.kernels),
-                        kernels.packed_min_rows(self.params.packed_min_rows),
-                    ),
-                )
-            except (OSError, RuntimeError):  # pragma: no cover - no subprocess support
-                self._pool_unavailable = True
-                return None
-        return self._pool
-
-    def _release_pool(self) -> None:
-        """Shut down the worker pool (no-op when none was spawned).
-
-        Internal end-of-run cleanup: unlike :meth:`close` it leaves the
-        engine usable, so an engine without ``keep_pool`` can serve many
-        ``anonymize`` calls (each spawning and releasing its own pool).
-        """
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called (the engine is retired)."""
-        return self._closed
-
-    def close(self) -> None:
-        """Retire the engine: shut down the worker pool and refuse reuse.
-
-        Raises:
-            EngineClosedError: on a double close.  The shared pool is a
-                process-level resource other components (the service layer,
-                the streaming executor) may be drawing from, so a second
-                ``close()`` is a lifecycle bug worth surfacing rather than
-                silently absorbing.
-        """
-        if self._closed:
-            raise EngineClosedError(
-                "Disassociator.close() called twice; the engine was already closed"
-            )
-        self._closed = True
-        self._release_pool()
-
-    def __enter__(self) -> "Disassociator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        # Tolerate an explicit close() inside the ``with`` body: the context
-        # manager guarantees cleanup, it does not insist on performing it.
-        if not self._closed:
-            self.close()
 
     def build_pipeline(self) -> Pipeline:
         """The default pipeline; override to add, drop or reorder phases."""
@@ -624,19 +463,12 @@ class Disassociator:
             AnonymityViolationError: if ``params.verify`` is set and the
                 produced dataset fails the independent audit (this would
                 indicate a library bug, not a user error).
-            EngineClosedError: if the engine was already :meth:`close`\\ d.
         """
-        if self._closed:
-            raise EngineClosedError(
-                "Disassociator.anonymize() called on a closed engine; "
-                "create a new Disassociator (or do not close this one)"
-            )
         params = self.params
         report = AnonymizationReport(
             num_records=len(dataset),
-            effective_jobs=effective_jobs(params.jobs),
-            kernels=kernels.resolve(params.kernels),
-            packed_min_rows=kernels.packed_min_rows(params.packed_min_rows),
+            kernels=kernels.resolve(),
+            packed_min_rows=kernels.packed_min_rows(),
         )
         self.last_report = report
         sensitive = params.sensitive_terms
@@ -654,22 +486,17 @@ class Disassociator:
             report=report,
             dataset=dataset,
             working=working,
-            pool_provider=self._shared_pool,
-            pool_release=self._release_pool,
             vocabulary=self.vocabulary if params.backend == "encoded" else None,
         )
-        try:
-            # One consistent kernel backend for the whole run: every lazily
-            # resolving helper (checker construction, chunk assembly) sees
-            # the resolved value instead of re-consulting the environment.
-            with kernels.use(report.kernels, report.packed_min_rows):
-                self.build_pipeline().run(ctx)
-                published = ctx.publish()
-        finally:
-            if not self.keep_pool:
-                self._release_pool()
+        # One consistent kernel backend for the whole run: every lazily
+        # resolving helper (checker construction, chunk assembly) sees the
+        # resolved value instead of re-consulting the environment.
+        with kernels.use(report.kernels, report.packed_min_rows):
+            self.build_pipeline().run(ctx)
+            published = ctx.publish()
         _fill_report(report, published)
         return published
+
 
 # ------------------------------------------------------------------ #
 # sensitive-term (l-diversity) support
@@ -729,55 +556,6 @@ def _force_sensitive_to_term_chunk(
         label=cluster.label,
         original_records=cluster.original_records,
     )
-
-
-# ------------------------------------------------------------------ #
-# parallel VERPART fan-out
-# ------------------------------------------------------------------ #
-def _vertical_worker(payload):
-    """Process-pool task: VERPART domain selection for one cluster.
-
-    Module-level for pickling.  The selected domains and the term bitmasks
-    the selection already built travel back to the parent; the parent
-    materializes the cluster from its own copy of the records and registers
-    the masks so REFINE inherits them instead of re-encoding every leaf
-    (exactly as the serial path does).
-    """
-    records, k, m = payload
-    record_list = [frozenset(r) for r in records]
-    view = EncodedCluster(record_list)
-    domains = partition_domains_fast(record_list, k, m, view=view)
-    return domains, view.masks, len(record_list)
-
-
-def _parallel_vertical(
-    partitions, k: int, m: int, pool: ProcessPoolExecutor, workers: int
-):
-    """Fan independent per-cluster VERPART calls out over a process pool.
-
-    Labels are assigned by partition index and ``Executor.map`` preserves
-    submission order, so the merge is deterministic.  The pool is the
-    engine's shared one (``workers`` processes) and is not shut down here.
-    Returns ``None`` when the pool is unusable -- ``BrokenProcessPool`` (a
-    worker died) is a ``RuntimeError`` -- so the caller can drop it and
-    run serially.
-    """
-    payloads = [(tuple(part), k, m) for part in partitions]
-    try:
-        chunksize = max(1, len(payloads) // (workers * 4))
-        domain_sets = list(pool.map(_vertical_worker, payloads, chunksize=chunksize))
-    except (OSError, RuntimeError):
-        return None
-    results = []
-    for index, (payload, outcome) in enumerate(zip(payloads, domain_sets)):
-        record_list = [frozenset(r) for r in payload[0]]
-        (chunk_domains, term_chunk_terms, demoted), masks, num_rows = outcome
-        result = build_cluster_from_domains(
-            record_list, chunk_domains, term_chunk_terms, demoted, f"P{index}"
-        )
-        register_cluster_masks(result.cluster, masks, num_rows)
-        results.append(result)
-    return results
 
 
 # ------------------------------------------------------------------ #

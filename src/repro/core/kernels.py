@@ -24,11 +24,11 @@ at run time:
   shifts (REFINE's ``build_chunks``).
 
 **Backend selection.**  :func:`resolve` picks ``"numpy"`` or ``"python"``
-from, in priority order: an explicit argument
-(:class:`~repro.core.engine.AnonymizationParams.kernels` /
-``ExperimentConfig.kernels``), the process-wide override installed by
-:func:`use` (the engine wraps each run in it), the ``REPRO_KERNELS``
-environment variable, and finally ``auto`` (numpy when importable).  Both
+from, in priority order: an explicit argument, the override installed by
+:func:`use` (every run is wrapped in one, and tests use it to force a
+backend), the ``REPRO_KERNELS`` environment variable, and finally ``auto``
+(numpy when importable).  Without numpy >= 2.0 the pure-Python kernels
+are the only path.  Both
 backends make bit-for-bit identical decisions -- the numpy kernels change
 *how* supports and popcounts are computed, never *which* comparisons run --
 which the equivalence suite (``tests/test_kernels.py``) enforces on
@@ -40,10 +40,10 @@ cluster mask is a single machine word).  The packed-mask kernels therefore
 engage only for row counts of at least :func:`packed_min_rows` even when
 the numpy backend is selected; the counting kernel has no threshold (the
 gather + ``bincount`` wins at every node size measured).  The default
-(:data:`PACKED_MIN_ROWS`) can be overridden per run
-(``AnonymizationParams.packed_min_rows``), per process
-(``$REPRO_PACKED_MIN_ROWS``) or by monkeypatching the module constant in
-tests.
+(:data:`PACKED_MIN_ROWS`) can be overridden for a scope (:func:`use`),
+per process (``$REPRO_PACKED_MIN_ROWS``) or by monkeypatching the module
+constant in tests.  Neither knob is a run parameter: they only move work
+between equivalent kernels, never the output.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
 #: Environment variable forcing the kernel backend (``python`` / ``numpy`` /
-#: ``auto``); overridden by an explicit config choice, see :func:`resolve`.
+#: ``auto``); overridden by a :func:`use` scope, see :func:`resolve`.
 KERNELS_ENV = "REPRO_KERNELS"
 
 #: Accepted kernel-backend names.
@@ -80,17 +80,17 @@ KERNEL_CHOICES = ("auto", "python", "numpy")
 PACKED_MIN_ROWS = 1024
 
 #: Environment variable overriding :data:`PACKED_MIN_ROWS`; overridden in
-#: turn by an explicit config choice, see :func:`packed_min_rows`.
+#: turn by a :func:`use` scope, see :func:`packed_min_rows`.
 PACKED_MIN_ROWS_ENV = "REPRO_PACKED_MIN_ROWS"
 
-#: The :func:`use`/:func:`set_default` override.  A context variable, not a
+#: The :func:`use` override.  A context variable, not a
 #: plain module global: concurrent ``anonymize`` runs in different threads
 #: each see (and restore) their own forced backend.
 _forced_backend: contextvars.ContextVar = contextvars.ContextVar(
     "repro_kernels_forced", default=None
 )
 
-#: :func:`use`/:func:`set_default` override of the packed-kernel crossover
+#: :func:`use` override of the packed-kernel crossover
 #: (same scoping rules as the backend override).
 _forced_min_rows: contextvars.ContextVar = contextvars.ContextVar(
     "repro_packed_min_rows_forced", default=None
@@ -105,10 +105,9 @@ def numpy_available() -> bool:
 def validate_choice(choice: str) -> str:
     """Normalize a kernel-backend name, raising on anything unknown.
 
-    The single source of the membership rule: :func:`resolve`,
-    :func:`use`/:func:`set_default` and
-    :class:`~repro.core.engine.AnonymizationParams` all validate through
-    here, so the choices and the error message cannot drift apart.
+    The single source of the membership rule: :func:`resolve` and
+    :func:`use` both validate through here, so the choices and the error
+    message cannot drift apart.
     """
     choice = str(choice).lower()
     if choice not in KERNEL_CHOICES:
@@ -121,9 +120,8 @@ def validate_choice(choice: str) -> str:
 def validate_min_rows(value) -> int:
     """Normalize a packed-kernel row threshold, raising on anything invalid.
 
-    Shared by :func:`packed_min_rows` (env override) and
-    :class:`~repro.core.engine.AnonymizationParams` (config field) so the
-    accepted values and the error message cannot drift apart.
+    Shared by :func:`packed_min_rows` (env override) and :func:`use` so
+    the accepted values and the error message cannot drift apart.
     """
     try:
         coerced = int(value)
@@ -142,9 +140,8 @@ def validate_min_rows(value) -> int:
 def packed_min_rows(choice: Optional[int] = None) -> int:
     """Resolve the effective packed-kernel row threshold.
 
-    Priority: explicit ``choice`` argument
-    (:class:`~repro.core.engine.AnonymizationParams.packed_min_rows`), then
-    the :func:`use`/:func:`set_default` override, then
+    Priority: explicit ``choice`` argument, then the :func:`use`
+    override, then
     ``$REPRO_PACKED_MIN_ROWS``, then the :data:`PACKED_MIN_ROWS` module
     constant (which tests may monkeypatch directly).
     """
@@ -162,8 +159,8 @@ def packed_min_rows(choice: Optional[int] = None) -> int:
 def resolve(choice: Optional[str] = None) -> str:
     """Resolve the active kernel backend to ``"python"`` or ``"numpy"``.
 
-    Priority: explicit ``choice`` argument, then the :func:`use` /
-    :func:`set_default` override, then ``$REPRO_KERNELS``, then ``auto``.
+    Priority: explicit ``choice`` argument, then the :func:`use`
+    override, then ``$REPRO_KERNELS``, then ``auto``.
     ``auto`` selects numpy when it is importable.  Requesting ``numpy``
     without numpy installed (or with numpy < 2.0, which lacks
     ``bitwise_count``) raises :class:`~repro.exceptions.ParameterError`
@@ -190,16 +187,18 @@ def use(choice: Optional[str], min_rows: Optional[int] = None):
     """Force the kernel backend (and crossover) for a ``with`` block.
 
     The engine wraps each ``anonymize`` call in
-    ``use(params.kernels, params.packed_min_rows)`` so every helper that
-    resolves lazily (checker construction, chunk assembly)
-    sees one consistent backend and threshold for the whole run.  ``None``
-    keeps the surrounding resolution (environment / auto / default) in
-    effect for that knob.  The overrides live in context variables, so
-    concurrent runs in other threads are unaffected.
+    ``use(resolve(), packed_min_rows())`` so every helper that resolves
+    lazily (checker construction, chunk assembly) sees one consistent
+    backend and threshold for the whole run; tests open an outer scope to
+    force a backend or crossover.  ``None`` keeps the surrounding
+    resolution in effect for that knob: an enclosing scope's override,
+    else the environment / auto / default.  The overrides live in context
+    variables, so concurrent runs in other threads are unaffected.
     """
-    if choice is not None:
-        choice = validate_choice(choice)
-    if min_rows is not None:
+    choice = _forced_backend.get() if choice is None else validate_choice(choice)
+    if min_rows is None:
+        min_rows = _forced_min_rows.get()
+    else:
         min_rows = validate_min_rows(min_rows)
     token = _forced_backend.set(choice)
     rows_token = _forced_min_rows.set(min_rows)
@@ -208,23 +207,6 @@ def use(choice: Optional[str], min_rows: Optional[int] = None):
     finally:
         _forced_min_rows.reset(rows_token)
         _forced_backend.reset(token)
-
-
-def set_default(choice: Optional[str], min_rows: Optional[int] = None) -> None:
-    """Install the backend/crossover overrides without a scope (no restore).
-
-    The process-pool **initializer**: worker processes start with a fresh
-    interpreter where only the environment would apply, so the engine
-    passes ``initializer=kernels.set_default, initargs=(resolved, resolved_rows)``
-    when spawning pools -- every worker then resolves exactly the backend
-    and threshold the parent run forced.
-    """
-    if choice is not None:
-        choice = validate_choice(choice)
-    if min_rows is not None:
-        min_rows = validate_min_rows(min_rows)
-    _forced_backend.set(choice)
-    _forced_min_rows.set(min_rows)
 
 
 # --------------------------------------------------------------------------- #

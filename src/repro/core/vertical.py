@@ -143,10 +143,6 @@ def partition_domains_fast(
     of rescanning every record.  Greedy decisions and tie-breaks mirror the
     reference implementation exactly, so both produce the same domains.
 
-    Split out from :func:`vertical_partition_fast` so parallel workers can
-    ship back only ``(chunk_domains, term_chunk_terms, demoted)`` -- a few
-    small term sets -- instead of fully materialized clusters.
-
     Returns:
         ``(chunk_domains, term_chunk_terms, demoted_terms)``.
     """
@@ -196,26 +192,6 @@ def partition_domains_fast(
     return chunk_domains, term_chunk_terms, demoted
 
 
-def build_cluster_from_domains(
-    record_list: Sequence[frozenset],
-    chunk_domains: Sequence[frozenset],
-    term_chunk_terms: set,
-    demoted: set,
-    label: str,
-) -> VerticalPartitionResult:
-    """Materialize a :class:`SimpleCluster` from selected chunk domains."""
-    record_chunks = [_project_chunk(record_list, domain) for domain in chunk_domains]
-    record_chunks = [chunk for chunk in record_chunks if len(chunk) > 0 and chunk.domain]
-    cluster = SimpleCluster._from_normalized(
-        size=len(record_list),
-        record_chunks=record_chunks,
-        term_chunk=TermChunk(term_chunk_terms),
-        label=label,
-        original_records=list(record_list),
-    )
-    return VerticalPartitionResult(cluster=cluster, demoted_terms=frozenset(demoted))
-
-
 def vertical_partition_fast(
     records,
     k: int,
@@ -237,14 +213,20 @@ def vertical_partition_fast(
     chunk_domains, term_chunk_terms, demoted = partition_domains_fast(
         record_list, k, m, enforce_lemma2=enforce_lemma2, view=view
     )
-    result = build_cluster_from_domains(
-        record_list, chunk_domains, term_chunk_terms, demoted, label
+    record_chunks = [_project_chunk(record_list, domain) for domain in chunk_domains]
+    record_chunks = [chunk for chunk in record_chunks if len(chunk) > 0 and chunk.domain]
+    cluster = SimpleCluster._from_normalized(
+        size=len(record_list),
+        record_chunks=record_chunks,
+        term_chunk=TermChunk(term_chunk_terms),
+        label=label,
+        original_records=list(record_list),
     )
     # Hand the term bitmasks this phase already built to downstream
     # consumers (REFINE's shared-chunk builder) through the weak per-cluster
     # cache, so the leaf is never re-encoded.
-    register_cluster_masks(result.cluster, view.masks, len(record_list))
-    return result
+    register_cluster_masks(cluster, view.masks, len(record_list))
+    return VerticalPartitionResult(cluster=cluster, demoted_terms=frozenset(demoted))
 
 
 def _project_chunk(records: Sequence[frozenset], domain: frozenset) -> RecordChunk:

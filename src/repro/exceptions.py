@@ -114,17 +114,6 @@ class FaultInjected(ReproError):
         self.hit = hit
 
 
-class EngineClosedError(ReproError):
-    """Raised when a closed :class:`~repro.core.engine.Disassociator` is used.
-
-    Signals a lifecycle bug in the caller: either ``close()`` was called
-    twice, or ``anonymize()`` was invoked after the engine (and with it the
-    shared worker pool) had already been shut down.  Both used to fail
-    silently -- a double close leaked nothing but hid the bug, and reuse
-    after close quietly respawned a fresh pool behind the caller's back.
-    """
-
-
 class ServiceError(ReproError):
     """Base class for errors raised by the :mod:`repro.service` layer."""
 

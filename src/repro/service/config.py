@@ -37,6 +37,15 @@ from repro.stream.executor import (
 #: Environment prefix recognized by :meth:`ServiceConfig.from_env`.
 ENV_PREFIX = "REPRO_SERVICE_"
 
+#: Fields that fix where the service writes and how it is shaped (its
+#: worker count and queue bound).  They are set once per service; a
+#: per-request override naming one is rejected, so a client can neither
+#: redirect the server's file writes nor silently expect a reshaped
+#: service.
+DEPLOYMENT_FIELDS = frozenset(
+    {"spill_dir", "store_dir", "pubstore_dir", "workers", "max_pending"}
+)
+
 #: ``from_env`` spellings accepted for boolean fields.
 _TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"0", "false", "no", "off"})
@@ -55,11 +64,10 @@ class ServiceConfig:
         sensitive_terms: terms forced into term chunks (l-diversity).
         verify: independently re-audit each publication before returning.
         backend: execution core (``"encoded"`` or ``"string"``).
-        jobs: worker processes for the VERPART fan-out; the
-            service spawns this pool once and shares it across requests.
-        kernels: vectorized-kernel backend (``"numpy"`` / ``"python"`` /
-            ``"auto"`` / ``None`` meaning ``$REPRO_KERNELS`` then auto);
-            the service resolves it once at construction.
+        jobs: cores per request.  Every request runs in-process on one
+            core, so ``1`` is the only legal value; the field stays so
+            existing configurations keep loading.  Anything else raises
+            :class:`~repro.exceptions.ParameterError`.
         shards: shard count for requests routed to the streaming pipeline.
         max_records_in_memory: streaming bound on resident records.
         shard_strategy: streaming record routing (``hash`` / ``horpart``).
@@ -76,8 +84,6 @@ class ServiceConfig:
             store's indexes on every publish (generation-stamped against
             the shard store).  ``None`` (default): query requests are
             rejected.
-        reuse_vocabulary: share one shard-lifetime vocabulary across a
-            shard's windows (output-invariant; see :mod:`repro.stream`).
         auto_stream_threshold: record count above which an ``"auto"``
             request is routed to the streaming pipeline instead of the
             in-memory one; ``None`` uses ``max_records_in_memory``.
@@ -92,14 +98,15 @@ class ServiceConfig:
         max_pending: bound on the service's job queue (``submit`` blocks --
             or raises, when non-blocking -- once this many jobs wait).
         workers: service worker threads draining the job queue.  Each
-            worker owns its own warm engine (and, with ``jobs > 1``, its
-            own process pool); all workers share the service-lifetime
-            vocabulary behind an interning lock, so results stay
-            bit-for-bit identical to a single-worker service.  Note that
-            one worker already saturates a single CPU for the pure-Python
-            pipeline; more workers pay off when requests block on I/O or
-            when ``jobs`` fans work out to extra cores (see
+            worker owns its own warm engine; all workers share the
+            service-lifetime vocabulary behind an interning lock, so
+            results stay bit-for-bit identical to a single-worker service.
+            Each request runs on one core, so more workers pay off when
+            the host has spare cores or requests block on I/O (see
             ``docs/OPERATIONS.md``).
+
+    The deployment and service-shape fields (:data:`DEPLOYMENT_FIELDS`)
+    are fixed when the service starts; a request cannot override them.
     """
 
     k: int = 5
@@ -111,14 +118,12 @@ class ServiceConfig:
     verify: bool = True
     backend: str = "encoded"
     jobs: int = 1
-    kernels: Optional[str] = None
     shards: int = DEFAULT_SHARDS
     max_records_in_memory: int = DEFAULT_MAX_RECORDS_IN_MEMORY
     shard_strategy: str = "hash"
     spill_dir: Optional[str] = None
     store_dir: Optional[str] = None
     pubstore_dir: Optional[str] = None
-    reuse_vocabulary: bool = True
     auto_stream_threshold: Optional[int] = None
     default_deadline: Optional[float] = None
     max_pending: int = 32
@@ -134,6 +139,12 @@ class ServiceConfig:
             object.__setattr__(self, "store_dir", str(self.store_dir))
         if self.pubstore_dir is not None:
             object.__setattr__(self, "pubstore_dir", str(self.pubstore_dir))
+        if self.jobs != 1:
+            raise ParameterError(
+                f"jobs must be 1, got {self.jobs!r}: the VERPART process fan-out "
+                "was removed and every request runs in-process on one core "
+                "(use workers to run requests concurrently)"
+            )
         if self.default_deadline is not None and not self.default_deadline > 0:
             raise ParameterError(
                 f"default_deadline must be positive seconds, "
@@ -176,8 +187,6 @@ class ServiceConfig:
             sensitive_terms=self.sensitive_terms,
             verify=self.verify,
             backend=self.backend,
-            jobs=self.jobs,
-            kernels=self.kernels,
         )
         values.update(overrides)
         return AnonymizationParams(**values)
@@ -191,7 +200,6 @@ class ServiceConfig:
             spill_dir=self.spill_dir,
             store_dir=self.store_dir,
             pubstore_dir=self.pubstore_dir,
-            reuse_vocabulary=self.reuse_vocabulary,
         )
         values.update(overrides)
         return StreamParams(**values)
@@ -294,11 +302,9 @@ _INT_FIELDS = frozenset(
     }
 )
 _OPTIONAL_INT_FIELDS = frozenset({"max_join_size", "auto_stream_threshold"})
-_BOOL_FIELDS = frozenset({"refine", "verify", "reuse_vocabulary"})
+_BOOL_FIELDS = frozenset({"refine", "verify"})
 _OPTIONAL_FLOAT_FIELDS = frozenset({"default_deadline"})
-_OPTIONAL_STR_FIELDS = frozenset(
-    {"kernels", "spill_dir", "store_dir", "pubstore_dir"}
-)
+_OPTIONAL_STR_FIELDS = frozenset({"spill_dir", "store_dir", "pubstore_dir"})
 
 
 def _parse_env_value(name: str, raw: str):

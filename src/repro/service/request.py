@@ -23,7 +23,7 @@ from typing import Any, Mapping, Optional, Union
 from repro.core.clusters import DisassociatedDataset
 from repro.core.dataset import TransactionDataset
 from repro.exceptions import ParameterError
-from repro.service.config import ServiceConfig
+from repro.service.config import DEPLOYMENT_FIELDS, ServiceConfig
 
 PathLike = Union[str, Path]
 
@@ -52,7 +52,10 @@ class AnonymizationRequest:
         delimiter: term delimiter for transaction-file sources.
         overrides: per-request :class:`ServiceConfig` field overrides
             (e.g. ``{"k": 10}``); validated against the service's config
-            when the request executes.
+            when the request executes.  The deployment fields
+            (:data:`~repro.service.config.DEPLOYMENT_FIELDS`: the spill,
+            store and pubstore directories, ``workers`` and
+            ``max_pending``) cannot be overridden.
         tag: optional caller-chosen label, echoed on the result (useful for
             correlating submitted jobs with their callers).
         deadline: execution budget in seconds for this request, overriding
@@ -115,6 +118,12 @@ class AnonymizationRequest:
         # Fail fast on misspelled knobs (the values themselves are
         # validated when the merged ServiceConfig is built at execution).
         ServiceConfig.validate_keys(overrides, what="override keys")
+        fixed = sorted(DEPLOYMENT_FIELDS.intersection(overrides))
+        if fixed:
+            raise ParameterError(
+                f"ServiceConfig override keys {', '.join(fixed)} are fixed per "
+                "service and cannot be overridden by a request"
+            )
         object.__setattr__(self, "overrides", overrides)
 
     @property

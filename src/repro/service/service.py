@@ -3,9 +3,9 @@
 :class:`AnonymizationService` owns, for its whole lifetime, the warm state
 that every one-shot entry point used to rebuild per call:
 
-* a pool of warm :class:`~repro.core.engine.Disassociator` engines (one
-  per configured service worker, each with its own shared process pool
-  spawned lazily and kept across requests via ``keep_pool``),
+* a queue of idle :class:`~repro.core.engine.Disassociator` engines, one
+  per configured service worker: checking one out bounds how many
+  requests execute at once, and each keeps its own ``last_report``,
 * one service-lifetime :class:`~repro.core.vocab.Vocabulary`, so the
   encode phase of back-to-back batch requests only interns terms it has
   never seen (interning is append-only and output-invariant -- the same
@@ -14,6 +14,10 @@ that every one-shot entry point used to rebuild per call:
   (:meth:`~repro.core.vocab.Vocabulary.make_shared`) so concurrent
   encoders intern behind one lock, and
 * a once-resolved vectorized-kernel backend.
+
+Every request runs in-process on one core.  Batch requests run on the
+checked-out engine; streamed and delta requests build their own pipeline,
+which builds a plain engine for its windows.
 
 Requests (:class:`~repro.service.request.AnonymizationRequest`) auto-route
 to the in-memory pipeline or the sharded streaming pipeline on input type
@@ -51,7 +55,7 @@ from repro import faults
 from repro.core import deadline as deadline_mod
 from repro.core import kernels
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import AnonymizationParams, Disassociator
+from repro.core.engine import Disassociator
 from repro.core.vocab import Vocabulary
 from repro.datasets.io import iter_records
 from repro.exceptions import (
@@ -68,11 +72,6 @@ from repro.stream.store import IncrementalPipeline
 
 #: Queue item telling a worker thread to exit.
 _SENTINEL = object()
-
-#: Engine-identity fields: a per-request override touching one of these
-#: cannot reuse a warm engine (its pool/kernel state was built for the
-#: service's own values), so the request runs on a transient engine.
-_ENGINE_IDENTITY_FIELDS = ("backend", "jobs", "kernels")
 
 #: Keyword arguments of run()/submit() that configure the request itself;
 #: every other keyword is treated as a per-request ServiceConfig override.
@@ -180,10 +179,9 @@ class AnonymizationService:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config if config is not None else ServiceConfig()
-        #: Resolved once for the service's lifetime; every request (and the
-        #: worker pool initializer) sees this literal backend instead of
-        #: re-consulting the environment.
-        self.kernels = kernels.resolve(self.config.kernels)
+        #: Resolved once for the service's lifetime; every request runs
+        #: under this backend instead of re-consulting the environment.
+        self.kernels = kernels.resolve()
         self._vocabulary = Vocabulary()
         if self.config.workers > 1:
             # Concurrent encoders intern behind one lock; single-worker
@@ -191,11 +189,7 @@ class AnonymizationService:
             # the engine pool there).
             self._vocabulary.make_shared()
         self._engines = [
-            Disassociator(
-                self.config.engine_params(kernels=self.kernels),
-                keep_pool=True,
-                vocabulary=self._vocabulary,
-            )
+            Disassociator(self.config.engine_params(), vocabulary=self._vocabulary)
             for _ in range(self.config.workers)
         ]
         #: Idle engines, checked out per executing request.  LIFO: reuse
@@ -229,10 +223,9 @@ class AnonymizationService:
         executed before the workers exit; with ``drain=False`` queued jobs
         are cancelled (their ``result()`` raises
         :class:`~repro.exceptions.ServiceClosedError`) and only jobs
-        already executing finish.  Either way every engine (and its worker
-        pool) is closed -- waiting for in-flight synchronous :meth:`run`
-        calls to return their engines first -- and later ``run`` /
-        ``submit`` / ``close`` calls raise
+        already executing finish.  Either way ``close`` waits for in-flight
+        synchronous :meth:`run` calls to return their engines, and later
+        ``run`` / ``submit`` / ``close`` calls raise
         :class:`~repro.exceptions.ServiceClosedError`.
         """
         with self._state_lock:
@@ -253,12 +246,10 @@ class AnonymizationService:
         # Anything that raced into the queue behind the sentinels would
         # otherwise wait forever; fail it explicitly.
         self._cancel_pending()
-        # Collect every engine before closing: a blocking get waits for
-        # in-flight executions (sync runs included) to check theirs back in.
+        # Collect every engine: a blocking get waits for in-flight
+        # executions (sync runs included) to check theirs back in.
         for _ in self._engines:
             self._idle.get()
-        for engine in self._engines:
-            engine.close()
 
     def _cancel_pending(self) -> None:
         """Cancel every job still sitting in the queue (non-blocking)."""
@@ -299,8 +290,7 @@ class AnonymizationService:
 
         Every request increments ``requests_served`` exactly once, on the
         entry path that executed it -- auto-routing a request to the
-        streaming pipeline (whose windows borrow a warm engine) does not
-        double-count.
+        streaming pipeline does not double-count.
         """
         with self._state_lock:
             started = len(self._workers)
@@ -545,7 +535,8 @@ class AnonymizationService:
                 request_deadline.check("service.dequeue")
             faults.check("service.execute")
             with deadline_mod.scope(request_deadline):
-                result = self._dispatch(request, config, engine)
+                with kernels.use(self.kernels):
+                    result = self._dispatch(request, config, engine)
             return result
         except DeadlineExceededError:
             self._metrics.deadline_exceeded()
@@ -570,7 +561,7 @@ class AnonymizationService:
     ) -> PublicationResult:
         """Route the request to the delta, batch or streaming path and run it."""
         if request.mode == "delta":
-            published, report = self._run_delta(request, config, engine)
+            published, report = self._run_delta(request, config)
             return PublicationResult(
                 published, report, "delta", config, tag=request.tag
             )
@@ -580,7 +571,7 @@ class AnonymizationService:
             return PublicationResult(
                 published, report, "batch", config, original=dataset, tag=request.tag
             )
-        published, report = self._run_stream(stream_source, config, engine)
+        published, report = self._run_stream(stream_source, config)
         return PublicationResult(published, report, "stream", config, tag=request.tag)
 
     def _route(self, request: AnonymizationRequest, config: ServiceConfig):
@@ -614,72 +605,27 @@ class AnonymizationService:
             return "batch", None, TransactionDataset(head)
         return "stream", chain(head, records), None
 
-    def _engine_params(self, config: ServiceConfig) -> AnonymizationParams:
-        # Kernels are normalized to the resolved literal ("python"/"numpy"):
-        # resolution is deterministic per process and both backends publish
-        # identical bytes, so this only skips re-consulting the environment
-        # -- and keeps "auto"/None comparable against the warm engine's
-        # resolved value, so they never silently defeat warm reuse.
-        return config.engine_params(kernels=kernels.resolve(config.kernels))
-
-    @staticmethod
-    def _warm_engine_for(
-        params: AnonymizationParams, engine: Disassociator
-    ) -> Optional[Disassociator]:
-        """``engine``, when ``params`` can reuse its pool/kernel state."""
-        for field_name in _ENGINE_IDENTITY_FIELDS:
-            if getattr(params, field_name) != getattr(engine.params, field_name):
-                return None
-        return engine
-
     def _run_batch(
         self, dataset: TransactionDataset, config: ServiceConfig, engine: Disassociator
     ):
-        params = self._engine_params(config)
-        warm = self._warm_engine_for(params, engine)
-        if warm is not None:
-            engine = warm
-            engine.params = params
-            engine.vocabulary = self._vocabulary
-        else:
-            # Overrides changed the engine's identity (backend/jobs/
-            # kernels): run on a transient engine, still sharing the warm
-            # vocabulary (interning is output-invariant).
-            engine = Disassociator(params, vocabulary=self._vocabulary)
+        engine.params = config.engine_params()
         published = engine.anonymize(dataset)
         return published, engine.last_report
 
-    def _run_stream(self, records, config: ServiceConfig, engine: Disassociator):
-        params = self._engine_params(config)
-        pipeline = ShardedPipeline(
-            params,
-            config.stream_params(),
-            window_engine=self._warm_engine_for(params, engine),
-        )
+    def _run_stream(self, records, config: ServiceConfig):
+        pipeline = ShardedPipeline(config.engine_params(), config.stream_params())
         published = pipeline.run(records)
         return published, pipeline.last_report
 
-    def _run_delta(
-        self,
-        request: AnonymizationRequest,
-        config: ServiceConfig,
-        engine: Disassociator,
-    ):
+    def _run_delta(self, request: AnonymizationRequest, config: ServiceConfig):
         """Apply the request as one delta of the persistent shard store.
 
         Appends come from ``request.source`` (``None``: none), deletes from
         ``request.delete``; both accept the same shapes as any request
-        source.  The recomputed windows run on the service's warm engine
-        whenever the merged config can reuse it, exactly like streamed
-        requests.  The client's ``delta_id`` (if any) goes to the store
+        source.  The client's ``delta_id`` (if any) goes to the store
         unchanged: a re-sent delta with the same token is applied once.
         """
-        params = self._engine_params(config)
-        pipeline = IncrementalPipeline(
-            params,
-            config.stream_params(),
-            window_engine=self._warm_engine_for(params, engine),
-        )
+        pipeline = IncrementalPipeline(config.engine_params(), config.stream_params())
         published = pipeline.run(
             append=self._delta_records(request.source, request),
             delete=self._delta_records(request.delete, request),
@@ -702,5 +648,5 @@ class AnonymizationService:
 
 
 def anonymization_service(**config_fields) -> AnonymizationService:
-    """Convenience constructor: ``anonymization_service(k=5, jobs=4, ...)``."""
+    """Convenience constructor: ``anonymization_service(k=5, workers=2, ...)``."""
     return AnonymizationService(ServiceConfig(**config_fields))

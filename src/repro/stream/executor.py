@@ -11,8 +11,9 @@ records (``max_records_in_memory``).  One streaming pass over the input:
    flushed whenever the total buffered count reaches the memory bound;
 3. **anonymize** -- for each shard in order, read the spill file back in
    windows of at most ``max_records_in_memory`` records and run the
-   existing engine on each window (``backend=encoded`` and the ``jobs=N``
-   per-cluster VERPART fan-out apply unchanged inside the window);
+   existing engine on each window, in-process (every window of a shard
+   interns onto one shard-lifetime vocabulary; interning is append-only
+   and output-invariant);
 4. **merge**  -- concatenate the per-window cluster lists with
    deterministic relabeling (``S<shard>W<window>.<label>``), so the merged
    publication is identical for any interleaving and shared-chunk
@@ -24,9 +25,8 @@ records (``max_records_in_memory``).  One streaming pass over the input:
 
 Shards are processed *sequentially* by design: running shards concurrently
 would multiply resident records by the number of shards and void the memory
-bound.  Intra-window parallelism (``jobs``) is where the cores go; multi-
-host sharding (one shard per host) is the natural next step and only needs
-the spill files shipped.
+bound.  Each window runs on one core; multi-host sharding (one shard per
+host) is the natural next step and only needs the spill files shipped.
 
 **Durability.**  A run of this pipeline keeps no durable state: its
 spill files are scratch space, rewritten from the input on every run.  A
@@ -106,14 +106,6 @@ class StreamParams:
             uses a temporary directory removed after the run; an explicit
             path is created if needed and the spill files are left in place
             for inspection.
-        reuse_vocabulary: share one shard-lifetime
-            :class:`~repro.core.vocab.Vocabulary` across a shard's windows
-            (encoded backend), so later windows only intern terms they have
-            not seen yet instead of re-interning from scratch.  Interning
-            is append-only and id-insensitive decisions tie-break on the
-            decoded string, so the published output is identical with and
-            without reuse (covered by the kernel test suite); disable only
-            to bound the interning table by window instead of by shard.
         store_dir: directory of the persistent incremental shard store
             (:mod:`repro.stream.store`).  Ignored by :class:`ShardedPipeline`
             itself; it configures where
@@ -135,7 +127,6 @@ class StreamParams:
     max_records_in_memory: int = DEFAULT_MAX_RECORDS_IN_MEMORY
     strategy: str = "hash"
     spill_dir: Optional[PathLike] = None
-    reuse_vocabulary: bool = True
     store_dir: Optional[PathLike] = None
     pubstore_dir: Optional[PathLike] = None
 
@@ -270,21 +261,14 @@ class ShardedPipeline:
     a window smaller than the HORPART bound would silently tighten the
     clustering and change the output semantics.
 
-    ``window_engine`` optionally injects a caller-owned (typically warm)
-    :class:`~repro.core.engine.Disassociator` to run the windows on --- the
-    service layer passes its long-lived engine so streamed requests inherit
-    the already-spawned worker pool.  The pipeline temporarily swaps the
-    engine's parameters/vocabulary for the run and restores them; it never
-    closes an injected engine.  Without it, the pipeline owns a private
-    engine per run (the historical behavior).
+    Every run builds its own :class:`~repro.core.engine.Disassociator` and
+    hands it one fresh :class:`~repro.core.vocab.Vocabulary` per shard.
     """
 
     def __init__(
         self,
         params: Optional[AnonymizationParams] = None,
         stream: Optional[StreamParams] = None,
-        *,
-        window_engine: Optional[Disassociator] = None,
     ):
         self.params = params if params is not None else AnonymizationParams()
         self.stream = stream if stream is not None else StreamParams()
@@ -294,7 +278,6 @@ class ShardedPipeline:
                 f"(got {self.stream.max_records_in_memory} < "
                 f"{self.params.max_cluster_size})"
             )
-        self.window_engine = window_engine
         self.last_report: Optional[ShardedReport] = None
 
     # -- public entry points ------------------------------------------- #
@@ -327,8 +310,8 @@ class ShardedPipeline:
         # One consistent kernel backend for the whole streaming run: the
         # windows re-enter the same scope through the engine, and the
         # global boundary audit (which runs outside any engine call) sees
-        # the configured backend instead of re-consulting the environment.
-        with kernels.use(kernels.resolve(self.params.kernels)):
+        # the resolved backend instead of re-consulting the environment.
+        with kernels.use(kernels.resolve(), kernels.packed_min_rows()):
             if self.stream.spill_dir is None:
                 with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
                     published = self._run(records, Path(tmp), report)
@@ -428,47 +411,26 @@ class ShardedPipeline:
         window_params = replace(self.params, verify=False)
         clusters: list[Cluster] = []
         report.shard_windows = [0] * self.stream.shards
-        reuse_vocab = (
-            self.stream.reuse_vocabulary and window_params.backend == "encoded"
-        )
-        spill_paths = [
-            spill_path(spill_dir, index) for index in range(self.stream.shards)
-        ]
-        borrowed = self.window_engine
-        if borrowed is not None:
-            # Caller-owned warm engine: borrow it for the run (inheriting
-            # its live worker pool), restore its parameters and vocabulary
-            # afterwards, and never close it.
-            engine = borrowed
-            saved_params, saved_vocabulary = engine.params, engine.vocabulary
-            engine.params = window_params
-        else:
-            engine = Disassociator(window_params, keep_pool=True)
-        try:
-            for shard, path in enumerate(spill_paths):
-                # One interning table per shard: every window of the shard
-                # encodes onto it, so only first-seen terms pay the intern
-                # cost (ids are append-only; relabeling keys are untouched).
-                engine.vocabulary = Vocabulary() if reuse_vocab else None
-                for window, batch in enumerate(iter_batches(iter_jsonl(path), bound)):
-                    faults.check("stream.window")
-                    deadline.check("stream.window")
-                    report.peak_resident_records = max(
-                        report.peak_resident_records, len(batch)
-                    )
-                    report.shard_windows[shard] += 1
-                    published = engine.anonymize(TransactionDataset(batch))
-                    prefix = f"S{shard}W{window}."
-                    clusters.extend(
-                        relabel_cluster(cluster, prefix)
-                        for cluster in published.clusters
-                    )
-        finally:
-            if borrowed is None:
-                engine.close()
-            else:
-                borrowed.params = saved_params
-                borrowed.vocabulary = saved_vocabulary
+        engine = Disassociator(window_params)
+        for shard in range(self.stream.shards):
+            # One interning table per shard: every window of the shard
+            # encodes onto it, so only first-seen terms pay the intern
+            # cost (ids are append-only; relabeling keys are untouched).
+            engine.vocabulary = Vocabulary()
+            path = spill_path(spill_dir, shard)
+            for window, batch in enumerate(iter_batches(iter_jsonl(path), bound)):
+                faults.check("stream.window")
+                deadline.check("stream.window")
+                report.peak_resident_records = max(
+                    report.peak_resident_records, len(batch)
+                )
+                report.shard_windows[shard] += 1
+                published = engine.anonymize(TransactionDataset(batch))
+                prefix = f"S{shard}W{window}."
+                clusters.extend(
+                    relabel_cluster(cluster, prefix)
+                    for cluster in published.clusters
+                )
         report.anonymize_seconds = time.perf_counter() - start
         return clusters
 

@@ -163,13 +163,17 @@ CREATE TABLE IF NOT EXISTS applied_deltas (
 """
 
 
-#: Parameter fields excluded from the fingerprint (execution-only knobs
-#: proven output-neutral by the equivalence suites).
-_EXCLUDED_PARAM_FIELDS = frozenset({"jobs", "kernels"})
-
 #: Stream fields excluded from the fingerprint (the directories are the
 #: store's identity, not part of it).
 _EXCLUDED_STREAM_FIELDS = frozenset({"spill_dir", "store_dir", "pubstore_dir"})
+
+#: Fingerprint keys of retired output-invariant knobs.  Stores written by
+#: earlier versions carry them; :meth:`ShardStore.validate` drops them,
+#: whatever their value, before comparing, so those stores keep accepting
+#: deltas.
+_RETIRED_FINGERPRINT_KEYS = frozenset(
+    {"params.packed_min_rows", "stream.reuse_vocabulary"}
+)
 
 
 def _json_safe(value):
@@ -188,15 +192,11 @@ def run_fingerprint(params: AnonymizationParams, stream: StreamParams) -> dict:
 
     Covers every field of :class:`~repro.core.engine.AnonymizationParams`
     and :class:`~repro.stream.executor.StreamParams` that can change the
-    published output.  Execution-only knobs -- ``jobs``, ``kernels``
-    (output equivalence across both is covered by the kernel/parallelism
-    test suites) and the directories -- are excluded, so an operator may
-    re-run a delta with fewer workers or a different kernel after a crash.
+    published output; the directories are excluded.
     """
     fingerprint = {}
     for fld in dataclasses.fields(params):
-        if fld.name not in _EXCLUDED_PARAM_FIELDS:
-            fingerprint[f"params.{fld.name}"] = _json_safe(getattr(params, fld.name))
+        fingerprint[f"params.{fld.name}"] = _json_safe(getattr(params, fld.name))
     for fld in dataclasses.fields(stream):
         if fld.name not in _EXCLUDED_STREAM_FIELDS:
             fingerprint[f"stream.{fld.name}"] = _json_safe(getattr(stream, fld.name))
@@ -537,6 +537,9 @@ class ShardStore:
         Version and parameter-fingerprint mismatches raise
         :class:`StoreError`: splicing snapshots computed under different
         output-affecting parameters into one publication would corrupt it.
+        Keys of retired output-invariant knobs are dropped from the stored
+        fingerprint first, so stores written before their removal still
+        validate.
         """
         faults.check("store.validate")
         deadline.check("store.validate")
@@ -551,6 +554,12 @@ class ShardStore:
             stored = json.loads(stored) if stored is not None else None
         except ValueError as exc:
             raise StoreError(f"malformed fingerprint in {self.path}: {exc}") from exc
+        if isinstance(stored, dict):
+            stored = {
+                key: value
+                for key, value in stored.items()
+                if key not in _RETIRED_FINGERPRINT_KEYS
+            }
         if stored != fingerprint:
             raise StoreError(
                 f"shard store {self.path} was created under different "
@@ -927,11 +936,6 @@ class IncrementalPipeline:
         stream: the sharding/memory parameters; ``stream.store_dir`` is
             required -- it names the persistent store this pipeline
             maintains.
-        window_engine: optionally a caller-owned (typically warm)
-            :class:`~repro.core.engine.Disassociator` to run recomputed
-            windows on; the service layer passes its long-lived engine.
-            Borrowed engines get their parameters/vocabulary restored and
-            are never closed.
 
     :meth:`run` handles both the initial build (an empty store appends the
     whole dataset) and every later delta uniformly, and always returns the
@@ -943,8 +947,6 @@ class IncrementalPipeline:
         self,
         params: Optional[AnonymizationParams] = None,
         stream: Optional[StreamParams] = None,
-        *,
-        window_engine: Optional[Disassociator] = None,
     ):
         self.params = params if params is not None else AnonymizationParams()
         self.stream = stream if stream is not None else StreamParams()
@@ -959,7 +961,6 @@ class IncrementalPipeline:
                 f"(got {self.stream.max_records_in_memory} < "
                 f"{self.params.max_cluster_size})"
             )
-        self.window_engine = window_engine
         self.last_report: Optional[IncrementalReport] = None
         # In-process cluster cache: (shard, win) -> (fingerprint, clusters).
         # A long-lived pipeline skips re-deserializing the snapshots of
@@ -1009,8 +1010,8 @@ class IncrementalPipeline:
         self.last_report = report
         # One consistent kernel backend for the whole run, exactly like the
         # cold streaming executor (windows, merge and boundary audit all see
-        # the configured backend).
-        with kernels.use(kernels.resolve(self.params.kernels)):
+        # the resolved backend).
+        with kernels.use(kernels.resolve(), kernels.packed_min_rows()):
             start = time.perf_counter()
             # Exclusive: one run per store at a time.  Concurrent deltas
             # (other service workers, other processes on the same
@@ -1205,107 +1206,73 @@ class IncrementalPipeline:
         mid-reconcile repeats at most one window.
         """
         bound = self.stream.max_records_in_memory
-        window_params = replace(self.params, verify=False)
-        reuse_vocab = (
-            self.stream.reuse_vocabulary and window_params.backend == "encoded"
-        )
+        engine = Disassociator(replace(self.params, verify=False))
         clusters: list[Cluster] = []
         report.shard_windows = [0] * self.stream.shards
         start = time.perf_counter()
         store_seconds = 0.0
-        borrowed = self.window_engine
-        if borrowed is not None:
-            engine = borrowed
-            saved_params, saved_vocabulary = engine.params, engine.vocabulary
-            engine.params = window_params
-        else:
-            engine = Disassociator(window_params, keep_pool=True)
-        try:
-            # GC pauses are scoped to the snapshot (de)serialization
-            # bursts -- the allocation storms whose garbage is all
-            # retained anyway -- never across engine.anonymize, whose
-            # cyclic garbage must stay collectable on large builds.
-            for shard in range(self.stream.shards):
-                # One interning table per shard (lazy: only shards that
-                # actually recompute a window pay for it); reuse across
-                # the shard's recomputed windows mirrors the cold
-                # executor and is output-invariant either way.
-                shard_vocab: Optional[Vocabulary] = None
-                after_seq, win = -1, 0
-                while True:
-                    rows = store.window_texts(shard, after_seq, bound)
-                    if not rows:
-                        break
-                    after_seq = rows[-1][0]
-                    texts = [row[1] for row in rows]
-                    fingerprint = window_fingerprint(texts)
-                    stored = store.get_window(shard, win)
-                    if stored is not None and stored[0] == fingerprint:
-                        cached = self._window_cache.get((shard, win))
-                        if cached is not None and cached[0] == fingerprint:
-                            window_clusters = cached[1]
-                        else:
-                            with paused_gc():
-                                window_clusters = [
-                                    cluster_from_payload(payload)
-                                    for payload in json.loads(stored[1])
-                                ]
-                            self._window_cache[(shard, win)] = (
-                                fingerprint,
-                                window_clusters,
-                            )
-                        clusters.extend(window_clusters)
-                        report.windows_reused += 1
+        # GC pauses are scoped to the snapshot (de)serialization bursts --
+        # the allocation storms whose garbage is all retained anyway --
+        # never across engine.anonymize, whose cyclic garbage must stay
+        # collectable on large builds.
+        for shard in range(self.stream.shards):
+            # One interning table per shard (lazy: only shards that
+            # actually recompute a window pay for it), mirroring the cold
+            # executor; interning is output-invariant.
+            shard_vocab: Optional[Vocabulary] = None
+            after_seq, win = -1, 0
+            while True:
+                rows = store.window_texts(shard, after_seq, bound)
+                if not rows:
+                    break
+                after_seq = rows[-1][0]
+                texts = [row[1] for row in rows]
+                fingerprint = window_fingerprint(texts)
+                stored = store.get_window(shard, win)
+                if stored is not None and stored[0] == fingerprint:
+                    cached = self._window_cache.get((shard, win))
+                    if cached is not None and cached[0] == fingerprint:
+                        window_clusters = cached[1]
                     else:
-                        faults.check("stream.window")
-                        deadline.check("stream.window")
-                        if reuse_vocab and shard_vocab is None:
-                            shard_vocab = Vocabulary()
-                        engine.vocabulary = shard_vocab
-                        batch = [
-                            normalize_record(json.loads(t)) for t in texts
-                        ]
-                        published = engine.anonymize(
-                            TransactionDataset(batch)
-                        )
-                        prefix = f"S{shard}W{win}."
-                        relabeled = [
-                            relabel_cluster(cluster, prefix)
-                            for cluster in published.clusters
-                        ]
-                        store_start = time.perf_counter()
                         with paused_gc():
-                            snapshot = json.dumps(
-                                [cluster_to_payload(c) for c in relabeled],
-                                separators=(",", ":"),
-                            )
-                        store.put_window(
-                            shard, win, fingerprint, len(texts), snapshot
+                            window_clusters = [
+                                cluster_from_payload(payload)
+                                for payload in json.loads(stored[1])
+                            ]
+                        self._window_cache[(shard, win)] = (fingerprint, window_clusters)
+                    clusters.extend(window_clusters)
+                    report.windows_reused += 1
+                else:
+                    faults.check("stream.window")
+                    deadline.check("stream.window")
+                    if shard_vocab is None:
+                        shard_vocab = Vocabulary()
+                    engine.vocabulary = shard_vocab
+                    batch = [normalize_record(json.loads(t)) for t in texts]
+                    published = engine.anonymize(TransactionDataset(batch))
+                    prefix = f"S{shard}W{win}."
+                    relabeled = [
+                        relabel_cluster(cluster, prefix)
+                        for cluster in published.clusters
+                    ]
+                    store_start = time.perf_counter()
+                    with paused_gc():
+                        snapshot = json.dumps(
+                            [cluster_to_payload(c) for c in relabeled],
+                            separators=(",", ":"),
                         )
-                        store_seconds += time.perf_counter() - store_start
-                        self._window_cache[(shard, win)] = (
-                            fingerprint,
-                            relabeled,
-                        )
-                        clusters.extend(relabeled)
-                        report.windows_recomputed += 1
-                    win += 1
-                    if len(rows) < bound:
-                        break
-                report.shard_windows[shard] = win
-                store.drop_windows_from(shard, win)
-                for key in [
-                    k
-                    for k in self._window_cache
-                    if k[0] == shard and k[1] >= win
-                ]:
-                    del self._window_cache[key]
-        finally:
-            if borrowed is None:
-                engine.close()
-            else:
-                borrowed.params = saved_params
-                borrowed.vocabulary = saved_vocabulary
+                    store.put_window(shard, win, fingerprint, len(texts), snapshot)
+                    store_seconds += time.perf_counter() - store_start
+                    self._window_cache[(shard, win)] = (fingerprint, relabeled)
+                    clusters.extend(relabeled)
+                    report.windows_recomputed += 1
+                win += 1
+                if len(rows) < bound:
+                    break
+            report.shard_windows[shard] = win
+            store.drop_windows_from(shard, win)
+            for key in [k for k in self._window_cache if k[0] == shard and k[1] >= win]:
+                del self._window_cache[key]
         report.store_seconds += store_seconds
         report.anonymize_seconds = time.perf_counter() - start - store_seconds
         return clusters

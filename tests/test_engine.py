@@ -98,28 +98,6 @@ class TestDisassociator:
         assert published.total_records() == 120
 
 
-class TestParallelVertical:
-    def test_chunksize_follows_the_worker_count(self):
-        from repro.core.engine import _parallel_vertical
-
-        class RecordingPool:
-            """Runs tasks in-process and records the chunksize it was given."""
-
-            def __init__(self):
-                self.chunksizes = []
-
-            def map(self, fn, payloads, chunksize=1):
-                self.chunksizes.append(chunksize)
-                return map(fn, payloads)
-
-        partitions = [[frozenset({"a", "b"})] * 4 for _ in range(40)]
-        pool = RecordingPool()
-        for workers, chunksize in ((2, 5), (5, 2), (64, 1)):
-            results = _parallel_vertical(partitions, 2, 2, pool, workers)
-            assert len(results) == len(partitions)
-            assert pool.chunksizes[-1] == chunksize
-
-
 class TestPipelineAPI:
     def test_default_pipeline_phases_in_order(self):
         from repro.core.engine import Pipeline
@@ -158,9 +136,11 @@ class TestPipelineAPI:
         with pytest.raises(ParameterError):
             AnonymizationParams(backend="numpy")
 
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ParameterError):
-            AnonymizationParams(jobs=0)
+    def test_removed_knobs_rejected(self):
+        # The fan-out and kernel knobs are gone; a stale caller fails loudly.
+        for stale in ({"jobs": 2}, {"kernels": "python"}, {"packed_min_rows": 1}):
+            with pytest.raises(TypeError):
+                AnonymizationParams(**stale)
 
     def test_report_includes_encode_decode_time(self, paper_dataset):
         engine = Disassociator(AnonymizationParams(k=3, m=2, max_cluster_size=6))

@@ -357,6 +357,31 @@ class TestHttpEndpoints:
         assert status == 400
         assert "unknown ServiceConfig" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "mode,key",
+        [
+            ("stream", "spill_dir"),
+            ("delta", "store_dir"),
+            ("batch", "pubstore_dir"),
+            ("batch", "workers"),
+            ("batch", "max_pending"),
+        ],
+    )
+    def test_deployment_override_key_400(self, served, tmp_path, mode, key):
+        # A client must not choose where the server writes (raw records in
+        # spill files, a shard store) nor reshape the service.
+        target = tmp_path / "client-chosen"
+        value = 1 if key in ("workers", "max_pending") else str(target)
+        status, payload = http(
+            served.url,
+            "POST",
+            "/anonymize",
+            {"records": [["a", "b"]] * 20, "mode": mode, "overrides": {key: value}},
+        )
+        assert not target.exists()
+        assert (status, payload.get("kind")) == (400, "bad_request")
+        assert key in payload["error"]
+
     def test_unknown_path_404_and_wrong_method_405(self, served):
         assert http(served.url, "GET", "/nope")[0] == 404
         assert http(served.url, "POST", "/stats", {})[0] == 404

@@ -156,6 +156,27 @@ class TestStoreValidation:
         assert _canonical(moved.run()) == _canonical(baseline)
         assert moved.last_report.noop
 
+    def test_store_with_retired_knobs_accepts_deltas(self, tmp_path):
+        """A store whose fingerprint still names the removed output-invariant
+        knobs (``packed_min_rows``, vocabulary reuse) keeps taking deltas."""
+        IncrementalPipeline(PARAMS, _stream(tmp_path / "s")).run(append=RECORDS[:90])
+        with ShardStore(tmp_path / "s") as store:
+            fingerprint = json.loads(store._meta("fingerprint"))
+            fingerprint["params.packed_min_rows"] = 1
+            fingerprint["stream.reuse_vocabulary"] = False
+            store._db.execute("BEGIN IMMEDIATE")
+            store._set_meta("fingerprint", json.dumps(fingerprint, sort_keys=True))
+            store._db.execute("COMMIT")
+        pipeline = IncrementalPipeline(PARAMS, _stream(tmp_path / "s"))
+        published = pipeline.run(append=RECORDS[90:])
+        assert _canonical(published) == _canonical(_cold(RECORDS))
+        # Only the retired keys are forgiven: a changed k is still refused.
+        other = AnonymizationParams(k=5, m=2, max_cluster_size=12)
+        with pytest.raises(StoreError, match="output-affecting parameters"):
+            IncrementalPipeline(other, _stream(tmp_path / "s")).run(
+                append=[frozenset({"x"})]
+            )
+
     def test_wrong_version_refused(self, tmp_path):
         pipeline = IncrementalPipeline(PARAMS, _stream(tmp_path / "s"))
         pipeline.run(append=RECORDS[:20])

@@ -9,10 +9,11 @@ enforcement:
   packed sub-record assembly) on three workload shapes,
 * HORPART and end-to-end pipeline equivalence under a forced
   ``REPRO_KERNELS`` matrix,
-* streaming determinism with and without shard-lifetime vocabulary reuse,
-* backend-resolution semantics (explicit choice > forced > environment >
-  auto) and parameter validation, and the same for the ``packed_min_rows``
-  crossover.
+* vocabulary reuse: an engine interning onto a prewarmed vocabulary
+  publishes what a fresh engine does,
+* backend-resolution semantics (explicit choice > ``use`` scope >
+  environment > auto) and validation, and the same for the
+  ``packed_min_rows`` crossover.
 """
 
 from __future__ import annotations
@@ -107,27 +108,18 @@ class TestResolution:
         expected = "numpy" if kernels.numpy_available() else "python"
         assert results["other_thread"] == expected
 
-    def test_set_default_installs_override(self, monkeypatch):
+    def test_nested_use_keeps_outer_overrides(self, monkeypatch):
+        # A scope that forces only one knob must not clear the other one
+        # an enclosing scope forced (a test forcing the backend around a
+        # run that pins the crossover, or the reverse).
         monkeypatch.setenv(kernels.KERNELS_ENV, "auto")
-        kernels.set_default("python")
-        try:
-            assert kernels.resolve() == "python"
-        finally:
-            kernels.set_default(None)
-
-    def test_pool_initializer_propagates_backend(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=1,
-                initializer=kernels.set_default,
-                initargs=("python",),
-            )
-        except (OSError, RuntimeError):  # pragma: no cover - no subprocess support
-            pytest.skip("platform cannot spawn worker processes")
-        with pool:
-            assert pool.submit(kernels.resolve).result() == "python"
+        monkeypatch.setenv(kernels.PACKED_MIN_ROWS_ENV, "7")
+        with kernels.use("python", 3):
+            with kernels.use(None, 1):
+                assert (kernels.resolve(), kernels.packed_min_rows()) == ("python", 1)
+            with kernels.use("python"):
+                assert kernels.packed_min_rows() == 3
+        assert kernels.packed_min_rows() == 7
 
     def test_invalid_choice_rejected(self):
         with pytest.raises(ParameterError):
@@ -140,11 +132,6 @@ class TestResolution:
         monkeypatch.setattr(kernels, "np", None)
         with pytest.raises(ParameterError):
             kernels.resolve("numpy")
-
-    def test_params_validate_kernels(self):
-        with pytest.raises(ParameterError):
-            AnonymizationParams(kernels="fortran")
-        assert AnonymizationParams(kernels="python").kernels == "python"
 
 
 # --------------------------------------------------------------------------- #
@@ -169,29 +156,22 @@ class TestPackedMinRows:
             assert kernels.packed_min_rows() == 5
         assert kernels.packed_min_rows() == 7
 
-    def test_set_default_installs_override(self, monkeypatch):
-        monkeypatch.delenv(kernels.PACKED_MIN_ROWS_ENV, raising=False)
-        kernels.set_default(None, 9)
-        try:
-            assert kernels.packed_min_rows() == 9
-        finally:
-            kernels.set_default(None, None)
-        assert kernels.packed_min_rows() == kernels.PACKED_MIN_ROWS
-
     @pytest.mark.parametrize("bad", [0, -5, 2.5, "many", None])
     def test_validation_rejects(self, bad):
         with pytest.raises(ParameterError):
             kernels.validate_min_rows(bad)
 
     @pytest.mark.parametrize("bad", [0, -1, "soon"])
-    def test_params_field_validated(self, bad):
+    def test_use_validates_min_rows(self, bad):
         with pytest.raises(ParameterError):
-            AnonymizationParams(packed_min_rows=bad)
+            with kernels.use(None, bad):
+                pass  # pragma: no cover
 
-    def test_params_field_lands_in_counters(self):
+    def test_use_scope_lands_in_counters(self):
         dataset = make_workload("quest", records=60, domain=30, avg_len=3.0, seed=3)
-        engine = Disassociator(AnonymizationParams(k=3, packed_min_rows=123))
-        engine.anonymize(dataset)
+        engine = Disassociator(AnonymizationParams(k=3))
+        with kernels.use(None, 123):
+            engine.anonymize(dataset)
         assert engine.last_report.counters()["packed_min_rows"] == 123
 
     def test_env_bad_value_rejected(self, monkeypatch):
@@ -380,23 +360,23 @@ class TestEndToEndMatrix:
             assert engine.last_report.kernels == backend
         assert outputs[0] == outputs[1]
 
-    def test_params_beat_environment(self, monkeypatch):
+    def test_use_scope_beats_environment(self, monkeypatch):
         monkeypatch.setenv(kernels.KERNELS_ENV, "numpy")
-        engine = Disassociator(AnonymizationParams(k=3, m=2, kernels="python"))
-        engine.anonymize(_scenario_dataset("quest", seed=2))
+        engine = Disassociator(AnonymizationParams(k=3, m=2))
+        with kernels.use("python"):
+            engine.anonymize(_scenario_dataset("quest", seed=2))
         assert engine.last_report.kernels == "python"
 
     def test_packed_thresholds_lowered(self, monkeypatch):
         # With the packing threshold at 1 the whole pipeline runs through
         # the packed checker/assembly paths; output must not move.
         dataset = _scenario_dataset("zipf", seed=4)
-        expected = Disassociator(
-            AnonymizationParams(k=4, m=2, max_cluster_size=12, kernels="python")
-        ).anonymize(dataset).to_dict()
+        params = AnonymizationParams(k=4, m=2, max_cluster_size=12)
+        with kernels.use("python"):
+            expected = Disassociator(params).anonymize(dataset).to_dict()
         monkeypatch.setattr(kernels, "PACKED_MIN_ROWS", 1)
-        forced = Disassociator(
-            AnonymizationParams(k=4, m=2, max_cluster_size=12, kernels="numpy")
-        ).anonymize(dataset).to_dict()
+        with kernels.use("numpy"):
+            forced = Disassociator(params).anonymize(dataset).to_dict()
         assert forced == expected
 
 
@@ -412,24 +392,9 @@ class TestVocabularyReuse:
         assert vocab.id_of("z") == 0 and vocab.id_of("a") == 1
         assert {vocab.decode(tid) for tid in encoded.records[0]} == {"a", "b"}
 
-    @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_stream_identical_with_and_without_reuse(self, scenario):
-        dataset = _scenario_dataset(scenario, seed=31)
-        params = AnonymizationParams(k=4, m=2, max_cluster_size=12)
-        outputs = []
-        for reuse in (True, False):
-            pipeline = ShardedPipeline(
-                params,
-                StreamParams(
-                    shards=3, max_records_in_memory=120, reuse_vocabulary=reuse
-                ),
-            )
-            outputs.append(pipeline.anonymize(dataset).to_dict())
-        assert outputs[0] == outputs[1]
-
-    def test_stream_verify_honors_params_kernels(self, monkeypatch):
+    def test_stream_verify_honors_outer_kernels_scope(self, monkeypatch):
         # The global boundary audit runs outside any engine call; it must
-        # still see the configured backend, not the environment's.
+        # still see the enclosing scope's backend, not the environment's.
         import repro.stream.executor as executor
 
         seen = {}
@@ -442,15 +407,20 @@ class TestVocabularyReuse:
         monkeypatch.setattr(executor, "verify_and_repair", spy)
         monkeypatch.setenv(kernels.KERNELS_ENV, "auto")
         pipeline = ShardedPipeline(
-            AnonymizationParams(k=4, m=2, max_cluster_size=12, kernels="python"),
+            AnonymizationParams(k=4, m=2, max_cluster_size=12),
             StreamParams(shards=2, max_records_in_memory=100),
         )
-        pipeline.anonymize(_scenario_dataset("quest", seed=3))
+        with kernels.use("python"):
+            pipeline.anonymize(_scenario_dataset("quest", seed=3))
         assert seen["backend"] == "python"
 
-    def test_engine_reuses_vocabulary_across_calls(self):
-        dataset = _scenario_dataset("quest", seed=8)
-        vocab = Vocabulary()
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_engine_reuses_vocabulary_across_calls(self, scenario):
+        dataset = _scenario_dataset(scenario, seed=8)
+        # Prewarmed in reversed term order, so the ids differ from what a
+        # fresh table would assign; the output must not notice.
+        terms = sorted({term for record in dataset for term in record}, reverse=True)
+        vocab = Vocabulary(terms)
         engine = Disassociator(
             AnonymizationParams(k=4, m=2, max_cluster_size=12), vocabulary=vocab
         )
@@ -459,7 +429,7 @@ class TestVocabularyReuse:
         )
         first = engine.anonymize(dataset).to_dict()
         grown = len(vocab)
-        assert grown > 0
+        assert grown == len(terms)
         second = engine.anonymize(dataset).to_dict()
         assert len(vocab) == grown  # append-only: nothing re-interned
         assert first == second == baseline.anonymize(dataset).to_dict()

@@ -1,15 +1,13 @@
-"""Parity of the surviving execution shapes: packed vs bigint, pool vs serial.
+"""Parity of the surviving execution shapes: packed vs bigint.
 
 Every phase has exactly one algorithm, but it can run in more than one
 shape: k^m checks switch to packed uint64 matrices above
-:func:`repro.core.kernels.packed_min_rows` on the numpy backend, VERPART
-fans out over a process pool, and the audit re-runs the same chunk checks.
-Each shape promises **bit-for-bit identical decisions**.  This suite pins
-that down:
+:func:`repro.core.kernels.packed_min_rows` on the numpy backend, and the
+audit re-runs the same chunk checks.  Each shape promises **bit-for-bit
+identical decisions**.  This suite pins that down:
 
 * VERPART under the packed kernels (crossover forced to 1) against the
   pure-Python kernels, on scenario partitions, ragged partitions and m=3,
-  plus the process-pool fan-out against the serial loop,
 * ``is_km_anonymous`` packed vs bigint on random chunks, and
   ``packed_km_anonymous`` against a brute-force pair count,
 * the full pipeline (packed, per-cluster, string backend, numpy absent),
@@ -19,14 +17,13 @@ that down:
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.core import kernels
 from repro.core.anonymity import is_km_anonymous
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import AnonymizationParams, Disassociator, _parallel_vertical
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.horizontal import horizontal_partition
 from repro.core.verification import audit
 from repro.core.vertical import vertical_partition_fast
@@ -61,6 +58,12 @@ def _verpart(partitions, k: int, m: int) -> list[dict]:
         vertical_partition_fast(part, k, m, label=f"P{index}").cluster.to_dict()
         for index, part in enumerate(partitions)
     ]
+
+
+def _publish(dataset, backend=None, min_rows=None, **params):
+    """One engine run under a forced kernel backend / packed crossover."""
+    with kernels.use(backend, min_rows):
+        return Disassociator(AnonymizationParams(**params)).anonymize(dataset)
 
 
 def _random_chunk(rng: random.Random, rows: int, terms: int, width: int) -> list:
@@ -107,15 +110,6 @@ class TestVerticalParity:
         with kernels.use("python"):
             expected = _verpart(partitions, 3, 3)
         assert packed == expected
-
-    def test_pool_fan_out_matches_serial(self):
-        partitions = _partitions(2)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            fanned = _parallel_vertical(partitions, 3, 2, pool, 2)
-        assert fanned is not None
-        assert [result.cluster.to_dict() for result in fanned] == _verpart(
-            partitions, 3, 2
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -173,17 +167,13 @@ class TestPipelineParity:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_packed_vs_per_cluster_vs_string(self, scenario):
         dataset = _scenario_dataset(scenario, seed=23)
-        reference = Disassociator(AnonymizationParams(kernels="python")).anonymize(dataset)
-        per_cluster = Disassociator(
-            AnonymizationParams(packed_min_rows=1 << 30)
-        ).anonymize(dataset)
+        reference = _publish(dataset, "python")
+        per_cluster = _publish(dataset, min_rows=1 << 30)
         assert per_cluster.to_dict() == reference.to_dict()
         string = Disassociator(AnonymizationParams(backend="string")).anonymize(dataset)
         assert string.to_dict() == reference.to_dict()
         if kernels.numpy_available():
-            packed = Disassociator(
-                AnonymizationParams(kernels="numpy", packed_min_rows=1)
-            ).anonymize(dataset)
+            packed = _publish(dataset, "numpy", 1)
             assert packed.to_dict() == reference.to_dict()
 
     def test_refine_counters_cover_every_pair(self):
@@ -207,12 +197,10 @@ class TestPipelineParity:
     def test_refine_counters_identical_across_kernels(self):
         dataset = _scenario_dataset("clickstream", seed=7)
         reports = []
-        for params in (
-            AnonymizationParams(kernels="numpy", packed_min_rows=1),
-            AnonymizationParams(kernels="python"),
-        ):
-            engine = Disassociator(params)
-            engine.anonymize(dataset)
+        for backend, min_rows in (("numpy", 1), ("python", None)):
+            engine = Disassociator(AnonymizationParams())
+            with kernels.use(backend, min_rows):
+                engine.anonymize(dataset)
             counters = engine.last_report.counters()
             counters.pop("packed_min_rows")
             reports.append(counters)
@@ -221,8 +209,8 @@ class TestPipelineParity:
     def test_numpy_absent_fallback(self, monkeypatch):
         monkeypatch.setattr(kernels, "np", None)
         dataset = _scenario_dataset("zipf", seed=9)
-        published = Disassociator(AnonymizationParams(packed_min_rows=1)).anonymize(dataset)
-        reference = Disassociator(AnonymizationParams(kernels="python")).anonymize(dataset)
+        published = _publish(dataset, min_rows=1)
+        reference = _publish(dataset, "python")
         assert published.to_dict() == reference.to_dict()
 
     @requires_numpy

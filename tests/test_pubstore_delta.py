@@ -29,6 +29,7 @@ from repro.exceptions import DeadlineExceededError, FaultInjected
 from repro.pubstore import QUERY_OPS, PublicationStore, QueryEngine
 from repro.pubstore.schema import DATA_TABLES
 from repro.stream import IncrementalPipeline, StreamParams
+from repro.stream import store as store_module
 from tests.conftest import make_workload
 
 PARAMS = AnonymizationParams(k=3, m=2, max_cluster_size=12)
@@ -42,14 +43,14 @@ def _records(seed: int, count: int) -> list:
     return [frozenset(record) for record in data]
 
 
-def _pipeline(tmp_path, window_engine=None) -> IncrementalPipeline:
+def _pipeline(tmp_path) -> IncrementalPipeline:
     stream = StreamParams(
         shards=2,
         max_records_in_memory=60,
         store_dir=tmp_path / "shards",
         pubstore_dir=tmp_path / "pub",
     )
-    return IncrementalPipeline(PARAMS, stream, window_engine=window_engine)
+    return IncrementalPipeline(PARAMS, stream)
 
 
 def _requests(terms: list, seed: int) -> list:
@@ -132,7 +133,9 @@ class _LeakyEngine(Disassociator):
     """A window engine that can publish a support-1 term in a record chunk.
 
     Models a windowing defect: the global boundary pass must catch the
-    leak and demote the term into a term chunk before publishing.
+    leak and demote the term into a term chunk before publishing.  Tests
+    install it as the store module's engine class and set ``leak`` on the
+    class, since every run builds its own engine.
     """
 
     leak = None
@@ -176,20 +179,20 @@ class TestStoreMatchesRebuild:
             assert published.total_records() == len(live)
             _assert_matches_fresh_build(tmp_path, published, f"fresh-{step}")
 
-    def test_boundary_demotion(self, tmp_path):
-        engine = _LeakyEngine(PARAMS)
-        pipeline = _pipeline(tmp_path, window_engine=engine)
+    def test_boundary_demotion(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "Disassociator", _LeakyEngine)
+        pipeline = _pipeline(tmp_path)
         records = _records(7, 300)
         published = pipeline.run(append=records[:200])
         assert pipeline.last_report.repair.total_demoted() == 0
         _assert_matches_fresh_build(tmp_path, published, "fresh-clean")
 
-        engine.leak = "leaked-term"
+        monkeypatch.setattr(_LeakyEngine, "leak", "leaked-term")
         published = pipeline.run(append=records[200:220])
         assert pipeline.last_report.repair.total_demoted() > 0
         _assert_matches_fresh_build(tmp_path, published, "fresh-demoted")
 
-        engine.leak = None
+        monkeypatch.setattr(_LeakyEngine, "leak", None)
         published = pipeline.run(append=records[220:240], delete=records[5:8])
         _assert_matches_fresh_build(tmp_path, published, "fresh-after")
 

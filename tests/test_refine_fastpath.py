@@ -15,7 +15,6 @@ enforcement:
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -27,7 +26,7 @@ from repro.core.anonymity import (
 )
 from repro.core.clusters import SimpleCluster, TermChunk
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import AnonymizationParams, Disassociator, effective_jobs
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.horizontal import horizontal_partition, horizontal_partition_indices
 from repro.core.refine import (
     MergeMemo,
@@ -145,32 +144,6 @@ class TestRandomizedEquivalence:
             assert [c.to_dict() for c in reference] == [
                 c.to_dict() for c in optimized
             ], f"trial {trial}"
-
-
-class TestParallelRefine:
-    def test_jobs_request_spawns_pool_only_when_useful(self):
-        # jobs=1 must never pay pool setup; the capped value is reported.
-        dataset = _scenario_dataset("zipf", 4)
-        engine = Disassociator(AnonymizationParams(k=3, m=2, max_cluster_size=20, jobs=64))
-        engine.anonymize(dataset)
-        assert engine.last_report.effective_jobs == effective_jobs(64)
-
-    def test_engine_jobs_do_not_change_refine_work(self, monkeypatch):
-        # Force a multi-worker effective value regardless of the host's CPU
-        # count so the VERPART fan-out actually runs.  REFINE is one serial
-        # walk for every jobs value: same output, same merge attempts.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        dataset = _scenario_dataset("quest", 5)
-        serial = Disassociator(AnonymizationParams(k=3, m=2, max_cluster_size=20))
-        parallel = Disassociator(
-            AnonymizationParams(k=3, m=2, max_cluster_size=20, jobs=2)
-        )
-        assert serial.anonymize(dataset).to_dict() == parallel.anonymize(dataset).to_dict()
-        assert parallel.last_report.effective_jobs == 2
-        assert (
-            parallel.last_report.refine_merges_attempted
-            == serial.last_report.refine_merges_attempted
-        )
 
 
 class TestMergeMemo:

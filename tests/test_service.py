@@ -24,7 +24,6 @@ from repro import (
     AnonymizationRequest,
     AnonymizationService,
     Disassociator,
-    EngineClosedError,
     ParameterError,
     ServiceClosedError,
     ServiceConfig,
@@ -84,10 +83,10 @@ class TestServiceConfig:
 
     def test_engine_and_stream_projections(self):
         config = ServiceConfig(
-            k=3, m=1, max_cluster_size=10, jobs=2, shards=2, shard_strategy="horpart"
+            k=3, m=1, max_cluster_size=10, shards=2, shard_strategy="horpart"
         )
         params = config.engine_params()
-        assert (params.k, params.m, params.jobs) == (3, 1, 2)
+        assert (params.k, params.m) == (3, 1)
         stream = config.stream_params()
         assert (stream.shards, stream.strategy) == (2, "horpart")
 
@@ -114,6 +113,8 @@ class TestServiceConfig:
             # A stale setting of a removed knob fails instead of being ignored.
             ({"retry": "attempts=3,backoff=0.1"}, "retry"),
             ({"checkpoint": True}, "checkpoint"),
+            ({"reuse_vocabulary": True}, "reuse_vocabulary"),
+            ({"kernels": "python"}, "kernels"),
         ],
     )
     def test_from_dict_rejects_unknown_keys(self, payload, unknown):
@@ -128,10 +129,8 @@ class TestServiceConfig:
             max_cluster_size=20,
             refine=False,
             sensitive_terms={"a", "b"},
-            jobs=2,
             shards=2,
             max_records_in_memory=50,
-            reuse_vocabulary=False,
             max_join_size=60,
         )
         environ = {
@@ -151,7 +150,7 @@ class TestServiceConfig:
             "REPRO_SERVICE_REFINE": "off",
             "REPRO_SERVICE_VERIFY": "Yes",
             "REPRO_SERVICE_MAX_JOIN_SIZE": "none",
-            "REPRO_SERVICE_KERNELS": "python",
+            "REPRO_SERVICE_JOBS": "1",
             "REPRO_SERVICE_SENSITIVE_TERMS": " flu , viagra ",
             "UNRELATED": "ignored",
         }
@@ -160,7 +159,7 @@ class TestServiceConfig:
         assert config.refine is False
         assert config.verify is True
         assert config.max_join_size is None
-        assert config.kernels == "python"
+        assert config.jobs == 1
         assert config.sensitive_terms == frozenset({"flu", "viagra"})
 
     @pytest.mark.parametrize(
@@ -181,6 +180,8 @@ class TestServiceConfig:
             # A stale setting of a removed knob fails instead of being ignored.
             ("REPRO_SERVICE_RETRY", "50", "retry"),
             ("REPRO_SERVICE_CHECKPOINT", "1", "checkpoint"),
+            ("REPRO_SERVICE_KERNELS", "python", "kernels"),
+            ("REPRO_SERVICE_REUSE_VOCABULARY", "0", "reuse_vocabulary"),
         ],
     )
     def test_from_env_rejects_misspelled_prefixed_variables(
@@ -188,6 +189,15 @@ class TestServiceConfig:
     ):
         with pytest.raises(ParameterError, match=f"environment variables.*: {unknown}"):
             ServiceConfig.from_env({variable: value})
+
+    def test_jobs_has_one_legal_value(self):
+        # Every request runs on one core; a fan-out request fails loudly
+        # instead of silently running serially.
+        with pytest.raises(ParameterError, match="fan-out was removed"):
+            ServiceConfig(jobs=2)
+        with pytest.raises(ParameterError, match="fan-out was removed"):
+            ServiceConfig.from_env({"REPRO_SERVICE_JOBS": "4"})
+        assert ServiceConfig(jobs=1) == ServiceConfig()
 
     def test_stream_threshold_defaults_to_memory_bound(self):
         assert ServiceConfig(max_records_in_memory=77).stream_threshold == 77
@@ -265,6 +275,28 @@ class TestRouting:
             # at job.result().
             with pytest.raises(ParameterError, match="unknown ServiceConfig override"):
                 service.submit(quest(10), max_clustersize=40)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("spill_dir", "elsewhere"),
+            ("store_dir", "elsewhere"),
+            ("pubstore_dir", "elsewhere"),
+            ("workers", 4),
+            ("max_pending", 1),
+        ],
+    )
+    def test_deployment_override_key_rejected(self, key, value, tmp_path):
+        # Where the server writes and how it is shaped is fixed per
+        # service; a request may not redirect or reshape it.
+        target = tmp_path / "elsewhere"
+        value = str(target) if value == "elsewhere" else value
+        with pytest.raises(ParameterError, match=f"override keys {key} are fixed"):
+            AnonymizationRequest(quest(10), mode="stream", overrides={key: value})
+        with AnonymizationService(ROUTING_CONFIG) as service:
+            with pytest.raises(ParameterError, match=f"override keys {key} are fixed"):
+                service.run(quest(10), mode="stream", **{key: value})
+        assert not target.exists()
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ParameterError, match="mode"):
@@ -347,18 +379,6 @@ class TestEquivalence:
             warm_after = service.run(dataset, mode="batch")
         assert result.to_dict() == expected.to_dict()
         assert warm_after.to_dict() == expected.to_dict()  # backends are equivalent
-
-    def test_auto_kernels_config_keeps_warm_engine(self):
-        # "auto" must normalize to the same resolved literal as the warm
-        # engine's, not silently force a transient engine per request.
-        with AnonymizationService(
-            ROUTING_CONFIG.with_overrides(kernels="auto")
-        ) as service:
-            params = service._engine_params(service.config)
-            engine = service._engines[0]
-            assert service._warm_engine_for(params, engine) is engine
-            service.run(quest(30), mode="batch")
-            assert service._warm_engine_for(params, engine) is engine
 
     def test_per_request_k_override(self):
         dataset = quest(120)
@@ -491,79 +511,11 @@ class TestSubmit:
 # lifecycle: engine and service close semantics
 # --------------------------------------------------------------------------- #
 class TestEngineLifecycle:
-    def test_double_close_raises(self):
-        engine = Disassociator()
-        engine.close()
-        with pytest.raises(EngineClosedError, match="twice"):
-            engine.close()
-
-    def test_anonymize_after_close_raises(self, paper_dataset):
-        engine = Disassociator(AnonymizationParams(k=3, m=2, max_cluster_size=6))
-        engine.close()
-        with pytest.raises(EngineClosedError, match="closed engine"):
-            engine.anonymize(paper_dataset)
-
     def test_engine_reusable_across_calls_without_close(self, paper_dataset):
         engine = Disassociator(AnonymizationParams(k=3, m=2, max_cluster_size=6))
         first = engine.anonymize(paper_dataset)
         second = engine.anonymize(paper_dataset)
         assert first.to_dict() == second.to_dict()
-        assert not engine.closed
-
-    def test_context_manager_tolerates_inner_close(self):
-        with Disassociator() as engine:
-            engine.close()
-        assert engine.closed
-
-    def test_context_manager_closes(self):
-        with Disassociator() as engine:
-            assert not engine.closed
-        assert engine.closed
-        with pytest.raises(EngineClosedError):
-            engine.close()
-
-    def test_killed_worker_pool_is_replaced(self, paper_dataset, monkeypatch):
-        # A keep_pool engine (the service's shape) whose worker is SIGKILLed
-        # must finish the next call serially and drop the dead executor, so
-        # the call after that spawns a fresh pool.
-        import os
-        import signal
-        import time
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not hasattr(signal, "SIGKILL"):
-            pytest.skip("needs SIGKILL")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        params = AnonymizationParams(k=3, m=2, max_cluster_size=6, jobs=2)
-        expected = Disassociator(AnonymizationParams(k=3, m=2, max_cluster_size=6))
-        expected = expected.anonymize(paper_dataset).to_dict()
-        engine = Disassociator(params, keep_pool=True)
-        try:
-            assert engine.anonymize(paper_dataset).to_dict() == expected
-            pool = engine._pool
-            if pool is None:
-                pytest.skip("platform cannot spawn worker processes")
-            assert engine.last_report.effective_jobs == 2
-
-            os.kill(pool.submit(os.getpid).result(timeout=60), signal.SIGKILL)
-            deadline = time.monotonic() + 60
-            while True:
-                try:
-                    pool.submit(os.getpid).result(timeout=60)
-                except BrokenProcessPool:
-                    break
-                assert time.monotonic() < deadline, "pool never noticed the kill"
-                time.sleep(0.05)
-
-            assert engine.anonymize(paper_dataset).to_dict() == expected
-            assert engine._pool is None
-            assert engine.last_report.effective_jobs == 1
-
-            assert engine.anonymize(paper_dataset).to_dict() == expected
-            assert engine._pool is not None and engine._pool is not pool
-            assert engine.last_report.effective_jobs == 2
-        finally:
-            engine.close()
 
 
 class TestServiceLifecycle:
@@ -608,12 +560,6 @@ class TestServiceLifecycle:
         # the queue; everything behind it is cancelled, nothing hangs.
         assert "cancelled" in outcomes
         assert outcomes == sorted(outcomes, key=lambda o: o == "cancelled")
-
-    def test_service_closes_its_engine(self):
-        service = AnonymizationService(ROUTING_CONFIG)
-        engine = service._engines[0]
-        service.close()
-        assert engine.closed
 
 
 # --------------------------------------------------------------------------- #
